@@ -27,6 +27,7 @@ from .classes import (
     ClassSpec,
     MindaGenerator,
     SpecParseError,
+    ZeroPivotError,
     apply_operator,
     implied_q,
     janowski_coeffs,

@@ -35,6 +35,10 @@ class SpecParseError(ValueError):
     pass
 
 
+class ZeroPivotError(ArithmeticError):
+    """A triangular solve met a zero pivot: an internal fault for any validated spec."""
+
+
 @dataclass(frozen=True)
 class MindaGenerator:
     """Generator phi as its coefficients (B1, ..., BK) plus family metadata."""
@@ -266,7 +270,7 @@ def _solve_normalized(spec: ClassSpec, target: TruncatedSeries) -> TruncatedSeri
 
     The n-th coefficient enters the (n-1)-th operator coefficient linearly,
     so a two-point evaluation recovers it exactly (pivot positive for
-    lambda >= 0, hence the assert).
+    lambda >= 0, so a zero pivot is an internal fault).
     """
     order = target.order + 1
     zero = target.coeffs[0] * 0
@@ -278,7 +282,8 @@ def _solve_normalized(spec: ClassSpec, target: TruncatedSeries) -> TruncatedSeri
         probe_coeffs[n] = one
         probe = apply_operator(spec, TruncatedSeries(probe_coeffs, order))
         pivot = probe.coeffs[n - 1] - base.coeffs[n - 1]
-        assert pivot != 0
+        if pivot == 0:
+            raise ZeroPivotError(f"zero pivot solving a{n} for {spec.text()}")
         coeffs[n] = (target.coeffs[n - 1] - base.coeffs[n - 1]) / pivot
     return TruncatedSeries(coeffs, order)
 
@@ -315,6 +320,7 @@ def implied_q(spec: ClassSpec, a: CoefficientVector):
         probe_q[n - 1] = probe_q[n - 1] + one
         probe = compose(phi, mobius_to_disk(TruncatedSeries([one] + probe_q, m)))
         pivot = probe.coeffs[n] - base.coeffs[n]
-        assert pivot != 0  # pivot is B1/2 > 0
+        if pivot == 0:  # pivot is B1/2 > 0
+            raise ZeroPivotError(f"zero pivot solving q{n} for {spec.text()}")
         q[n - 1] = q[n - 1] + (target.coeffs[n] - base.coeffs[n]) / pivot
     return tuple(q)

@@ -57,6 +57,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.refine_top < 0:
+            raise ValueError("refine_top must be >= 0")
         if self.tol_feasible < 0 or self.tol_violation < 0:
             raise ValueError("tolerances must be >= 0")
 
@@ -279,7 +281,7 @@ def max_coeff(spec: ClassSpec, target: str, config: SearchConfig = SearchConfig(
 
     values = np.abs((a2, a3, a4)[idx])
     values = np.where(feasible, values, -np.inf)
-    order = np.argsort(values)[::-1][: config.refine_top]
+    order = np.argsort(values)[::-1][: config.refine_top] if config.refine_top else ()
 
     top = int(np.argmax(values))
     best_value = float(values[top])
@@ -345,7 +347,7 @@ def check_a5_system(spec: ClassSpec, config: SearchConfig = SearchConfig()) -> A
         raise OracleError("search produced no feasible system")
 
     values = np.where(feasible, np.abs(a5), -np.inf)
-    order = np.argsort(values)[::-1][: config.refine_top]
+    order = np.argsort(values)[::-1][: config.refine_top] if config.refine_top else ()
     top = int(np.argmax(values))
     best_value = float(values[top])
     best = {"p": tuple(complex(e) for e in p[top]),

@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from bikoeff import caratheodory
 from bikoeff.caratheodory import (
     AtomicMeasure,
     CaratheodoryTuple,
@@ -17,6 +20,8 @@ from bikoeff.caratheodory import (
     toeplitz_batch,
     toeplitz_matrix,
 )
+from bikoeff.classes import parse_spec
+from bikoeff.oracle import a5_chain, implied_q_fast, solve_fast
 
 
 # -- tuples and matrices -----------------------------------------------------
@@ -168,3 +173,99 @@ def test_sampler_mixes_real_and_complex():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_sampled_tuples_admissible(seed):
     assert is_admissible(sample(seed, 4), tol=1e-9)
+
+
+# -- bulk test against the eigenvalue reference ------------------------------
+
+MASK_TOLS = (1e-7, 1e-9, 1e-12)
+# rows this close to the tolerance may go either way under rounding
+MASK_MARGIN = 1e-12
+
+
+def assert_mask_matches_reference(p_stack, tol):
+    lam = np.linalg.eigvalsh(toeplitz_batch(p_stack))[:, 0]
+    decided = np.abs(lam + tol) > MASK_MARGIN
+    mask = admissible_mask(p_stack, tol)
+    assert mask.shape == (len(p_stack),) and mask.dtype == bool
+    assert np.array_equal(mask[decided], (lam >= -tol)[decided])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("tol", MASK_TOLS)
+def test_mask_matches_eigvalsh_across_the_boundary(m, tol):
+    rng = np.random.default_rng(100 + m)
+    body = MeasureSampler(m).moments(3000, m)[0]
+    # sampled tuples sit in the body, many on its edge; scale them through it
+    scales = rng.uniform(0.5, 1.5, size=(len(body), 1))
+    noise = rng.normal(size=body.shape) + 1j * rng.normal(size=body.shape)
+    p = np.concatenate([body, scales * body, noise])
+    mask = admissible_mask(p, tol)
+    assert 0 < mask.sum() < len(p)
+    assert_mask_matches_reference(p, tol)
+
+
+SCAN_CLASSES = (
+    "st:lambda=0:order:rho=1/4",
+    "m:lambda=1/2:janowski:A=1/2,B=-1/2",
+    "m:lambda=1:strong:beta=1/2",
+    "st:lambda=1/2:custom:B1=1,B2=1/2,B3=1/4",
+)
+
+
+@pytest.mark.parametrize("spec_text", SCAN_CLASSES)
+@pytest.mark.parametrize("tol", MASK_TOLS)
+def test_mask_matches_eigvalsh_on_implied_q(spec_text, tol):
+    spec = parse_spec(spec_text)
+    p, _ = MeasureSampler(11).moments(20000, 3)
+    q = implied_q_fast(spec, *solve_fast(spec, p))
+    assert_mask_matches_reference(q, tol)
+
+
+@pytest.mark.parametrize("spec_text", ["st:lambda=0:order:rho=1/4", "ss:beta=3/4"])
+def test_mask_matches_eigvalsh_on_implied_a5_tuples(spec_text):
+    spec = parse_spec(spec_text)
+    p, _ = MeasureSampler(11).moments(20000, 4)
+    _, l = a5_chain(spec, p)
+    for tol in MASK_TOLS:
+        assert_mask_matches_reference(l, tol)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 37])
+def test_mask_block_edges(extra):
+    n = caratheodory._BLOCK_ROWS + extra
+    rng = np.random.default_rng(n)
+    p = 0.8 * (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)))
+    assert_mask_matches_reference(p, 1e-9)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_mask_tiny_stacks(n):
+    p = np.full((n, 3), 0.5 + 0.25j)
+    mask = admissible_mask(p, 1e-9)
+    assert mask.shape == (n,) and mask.all()
+    assert not admissible_mask(np.full((n, 3), 3.0 + 0j), 1e-9).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(np.complex128, st.tuples(st.integers(1, 40), st.integers(1, 4)),
+               elements=st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)),
+    st.sampled_from(MASK_TOLS),
+)
+def test_mask_property_random_rows(p, tol):
+    assert_mask_matches_reference(p, tol)
+
+
+def test_mask_rejects_non_finite_rows_quietly():
+    p = np.array([
+        [0.5, 0.1, 0.0],
+        [np.nan, 0.1, 0.0],
+        [0.5, complex(0, np.inf), 0.0],
+        [0.5, 0.1, -np.inf],
+        [complex(np.nan, np.nan), np.inf, np.nan],
+        [0.2, 0.1, 0.3],
+    ], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mask = admissible_mask(p, 1e-9)
+    assert mask.tolist() == [True, False, False, False, False, True]

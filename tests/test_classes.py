@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from bikoeff import classes
 from bikoeff.classes import (
     ClassSpec,
     MindaGenerator,
     SpecParseError,
+    ZeroPivotError,
     apply_operator,
     implied_q,
     janowski_coeffs,
@@ -234,3 +236,25 @@ def test_implied_q_with_a5(rational_rng):
     q = implied_q(spec, a)
     assert len(q) == 4
     assert abs(complex(q[0]) + complex(p[0])) < 1e-12
+
+
+# -- internal faults ---------------------------------------------------------
+
+
+def test_zero_pivot_in_forward_solve_raises(monkeypatch):
+    spec = parse_spec("st:lambda=0:order:rho=0")
+    frozen = TruncatedSeries([Fraction(1)] + [Fraction(0)] * 4, 4)
+    monkeypatch.setattr(classes, "apply_operator", lambda spec, f: frozen)
+    with pytest.raises(ZeroPivotError) as info:
+        solve_coefficients(spec, (Fraction(1), Fraction(0), Fraction(0)))
+    assert not isinstance(info.value, ValueError)
+
+
+def test_zero_pivot_in_implied_q_raises(monkeypatch):
+    spec = parse_spec("st:lambda=0:order:rho=0")
+    a = solve_coefficients(spec, (Fraction(1), Fraction(0), Fraction(0)))
+    frozen = TruncatedSeries([Fraction(1)] + [Fraction(0)] * 3, 3)
+    monkeypatch.setattr(classes, "compose", lambda outer, inner: frozen)
+    with pytest.raises(ZeroPivotError) as info:
+        implied_q(spec, a)
+    assert not isinstance(info.value, ValueError)

@@ -212,4 +212,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(samples=0)
     with pytest.raises(ValueError):
+        SearchConfig(refine_top=-1)
+    with pytest.raises(ValueError):
         SearchConfig(tol_feasible=-1)
+
