@@ -27,7 +27,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 class DegenerateBoundError(ValueError):
-    """The generator makes a bound denominator vanish; the formula is undefined."""
+    """A bound denominator vanishes or the formula overflows floating point."""
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,10 @@ def m_bounds(spec: ClassSpec):
 
 def class_bounds(spec: ClassSpec):
     """Dispatch on the operator tag."""
-    return st_bounds(spec) if spec.operator == "st" else m_bounds(spec)
+    try:
+        return st_bounds(spec) if spec.operator == "st" else m_bounds(spec)
+    except OverflowError as exc:
+        raise DegenerateBoundError("bound formula overflows floating point for this class") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +180,31 @@ def class_bounds(spec: ClassSpec):
 
 ST_RHO_A5_VARIANTS = ("stated", "proof")
 SS_BETA_A5_VARIANTS = ("stated", "rederived")
+# the variant whose derivation holds up; a violation of it is a real failure
+PROVEN_A5_VARIANTS = {"order": "proof", "strong": "rederived"}
+A5_UNAVAILABLE = (
+    "a5 bound is only available for st:lambda=0 with the order generator, rho in [0, 1/2], "
+    "or the strong generator, beta in [1/2, 1]"
+)
+
+
+def a5_family(spec: ClassSpec):
+    """``("order", rho)`` or ``("strong", beta)`` when the paper bounds |a5|, else None.
+
+    The fifth-coefficient theorems cover bi-starlike functions of order
+    rho in [0, 1/2] and strongly bi-starlike functions of order beta in
+    [1/2, 1], i.e. the z f'/f operator at lambda 0.
+    """
+    if spec.operator != "st" or float(spec.lam) != 0:
+        return None
+    family = spec.generator.family
+    if family == "order":
+        rho = float(spec.generator.params["rho"])
+        return (family, rho) if 0 <= rho <= 0.5 else None
+    if family == "strong":
+        beta = float(spec.generator.params["beta"])
+        return (family, beta) if 0.5 <= beta <= 1 else None
+    return None
 
 
 def st_rho_a5(rho: float, variant: str = "proof") -> float:

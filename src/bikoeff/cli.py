@@ -14,13 +14,16 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .bounds import (
+    A5_UNAVAILABLE,
+    PROVEN_A5_VARIANTS,
     SS_BETA_A5_VARIANTS,
     ST_RHO_A5_VARIANTS,
     DegenerateBoundError,
+    a5_family,
     class_bounds,
     ss_beta_a5,
     st_rho_a5,
@@ -130,18 +133,11 @@ def _cell(value) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _a5_family(spec: ClassSpec):
-    if spec.operator == "st" and float(spec.lam) == 0 and spec.generator.family == "order":
-        return "order", float(spec.generator.params["rho"])
-    if spec.operator == "st" and float(spec.lam) == 0 and spec.generator.family == "strong":
-        return "strong", float(spec.generator.params["beta"])
-    return None, None
-
-
 def _a5_rows(spec: ClassSpec):
-    fam, param = _a5_family(spec)
-    if fam is None:
-        raise CliError("a5 bound is only available for st:lambda=0 with the order or strong generator")
+    family = a5_family(spec)
+    if family is None:
+        raise CliError(A5_UNAVAILABLE)
+    fam, param = family
     if fam == "order":
         pairs = [(v, st_rho_a5(param, v)) for v in ST_RHO_A5_VARIANTS]
     else:
@@ -202,20 +198,11 @@ def _parse_coeffs(text):
 # verify
 # ---------------------------------------------------------------------------
 
-PROVEN_A5_VARIANTS = {"order": "proof", "strong": "rederived"}
+SEARCH_DEFAULTS = {f.name: f.default for f in fields(SearchConfig)}
 
 
 def _search_config(args) -> SearchConfig:
-    return SearchConfig(
-        seed=args.seed,
-        samples=args.samples,
-        refine_top=args.refine_top,
-        refine_steps=args.refine_steps,
-        tol_feasible=args.tol_feasible,
-        tol_violation=args.tol_violation,
-        restrict_real=args.restrict_real,
-        max_atoms=args.max_atoms,
-    )
+    return SearchConfig(**{name: getattr(args, name) for name in SEARCH_DEFAULTS})
 
 
 def verify_rows(spec: ClassSpec, targets, config: SearchConfig):
@@ -264,13 +251,9 @@ def verify_rows(spec: ClassSpec, targets, config: SearchConfig):
 def cmd_verify(args) -> int:
     spec = parse_spec(args.spec)
     if args.target == "all":
-        targets = ["a2", "a3", "a4"]
-        if _a5_family(spec)[0] is not None:
-            targets.append("a5")
+        targets = ["a2", "a3", "a4"] + (["a5"] if a5_family(spec) else [])
     else:
         targets = [args.target]
-        if "a5" in targets and _a5_family(spec)[0] is None:
-            raise CliError("a5 verification is only available for st:lambda=0 with the order or strong generator")
     config = _search_config(args)
     rows, violated, witnesses = verify_rows(spec, targets, config)
     doc = ReportDocument(spec.text(), rows, {"seed": config.seed, "samples": config.samples})
@@ -354,7 +337,7 @@ def _parse_range(text):
     return lo, hi, steps
 
 
-def sweep_rows(template: str, param: str, grid, coeffs):
+def sweep_rows(template: str, grid, coeffs):
     if template.count("{}") != 1:
         raise CliError("spec template must contain exactly one {} placeholder")
     rows = []
@@ -374,7 +357,7 @@ def sweep_rows(template: str, param: str, grid, coeffs):
 def cmd_sweep(args) -> int:
     lo, hi, steps = _parse_range(args.range)
     grid = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)] if steps > 1 else [lo]
-    rows = sweep_rows(args.spec_template, args.param, grid, _parse_coeffs(args.coeffs))
+    rows = sweep_rows(args.spec_template, grid, _parse_coeffs(args.coeffs))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(["param", "coeff", "bound", "branch", "variant"])
@@ -391,31 +374,22 @@ def cmd_sweep(args) -> int:
 GRID_LAMBDAS = (Fraction(0), Fraction(1, 2), Fraction(1))
 GRID_RHOS = (Fraction(0), Fraction(1, 4), Fraction(1, 2))
 GRID_BETAS = (Fraction(1, 2), Fraction(3, 4), Fraction(1))
+# (spec, targets) in report row order: a2-a4 over the operator grid, then a5
+REPORT_GRID = (
+    [(f"{op}:lambda={lam}:order:rho={rho}", ["a2", "a3", "a4"])
+     for op in ("st", "m") for lam in GRID_LAMBDAS for rho in GRID_RHOS]
+    + [(f"st:lambda=0:order:rho={rho}", ["a5"]) for rho in GRID_RHOS]
+    + [(f"ss:beta={beta}", ["a5"]) for beta in GRID_BETAS]
+)
 
 
 def cmd_report(args) -> int:
     config = _search_config(args)
     rows = []
     violated = False
-    for op in ("st", "m"):
-        for lam in GRID_LAMBDAS:
-            for rho in GRID_RHOS:
-                spec = parse_spec(f"{op}:lambda={lam}:order:rho={rho}")
-                sub, bad, _ = verify_rows(spec, ["a2", "a3", "a4"], config)
-                for row in sub:
-                    row["spec"] = spec.text()
-                rows.extend(sub)
-                violated = violated or bad
-    for rho in GRID_RHOS:
-        spec = parse_spec(f"st:lambda=0:order:rho={rho}")
-        sub, bad, _ = verify_rows(spec, ["a5"], config)
-        for row in sub:
-            row["spec"] = spec.text()
-        rows.extend(sub)
-        violated = violated or bad
-    for beta in GRID_BETAS:
-        spec = parse_spec(f"ss:beta={beta}")
-        sub, bad, _ = verify_rows(spec, ["a5"], config)
+    for text, targets in REPORT_GRID:
+        spec = parse_spec(text)
+        sub, bad, _ = verify_rows(spec, targets, config)
         for row in sub:
             row["spec"] = spec.text()
         rows.extend(sub)
@@ -479,36 +453,25 @@ _CONFIG_CASTS = {
 
 
 def _apply_defaults(args):
-    """Fill unset oracle options: flags > config file > BIKOEFF_SEED > defaults."""
+    """Fill unset oracle options: flags > config file > BIKOEFF_SEED > SearchConfig defaults."""
     file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
     for key, value in file_values.items():
         if key not in _CONFIG_CASTS:
             raise CliError(f"unknown config key {key!r}")
-    defaults = {
-        "samples": 2000,
-        "seed": None,
-        "refine_top": 3,
-        "refine_steps": 150,
-        "max_atoms": 5,
-        "tol_feasible": 1e-7,
-        "tol_violation": 1e-8,
-        "restrict_real": False,
-        "format": "table",
-    }
+    defaults = {**SEARCH_DEFAULTS, "format": "table"}
+    env = os.environ.get("BIKOEFF_SEED")
     for key, cast in _CONFIG_CASTS.items():
-        if not hasattr(args, key):
+        if getattr(args, key, "absent") is not None:
             continue
-        if getattr(args, key) is None:
-            if key in file_values:
-                setattr(args, key, cast(file_values[key]))
-            else:
-                setattr(args, key, defaults[key])
-    if getattr(args, "seed", "absent") is None:
-        env = os.environ.get("BIKOEFF_SEED")
-        try:
-            args.seed = int(env) if env else 0
-        except ValueError:
-            raise CliError(f"BIKOEFF_SEED must be an integer, got {env!r}")
+        if key in file_values:
+            setattr(args, key, cast(file_values[key]))
+        elif key == "seed" and env:
+            try:
+                args.seed = int(env)
+            except ValueError:
+                raise CliError(f"BIKOEFF_SEED must be an integer, got {env!r}")
+        else:
+            setattr(args, key, defaults[key])
 
 
 def _add_oracle_flags(p):

@@ -18,12 +18,20 @@ tests compare against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
-from .bounds import class_bounds, ss_beta_a5, st_rho_a5
+from .bounds import (
+    A5_UNAVAILABLE,
+    SS_BETA_A5_VARIANTS,
+    ST_RHO_A5_VARIANTS,
+    a5_family,
+    class_bounds,
+    ss_beta_a5,
+    st_rho_a5,
+)
 from .caratheodory import (
     DEFAULT_MAX_ATOMS,
     AtomicMeasure,
@@ -187,28 +195,28 @@ def _pow_chain(c1, c2, c3, c4, exponent):
 
 
 def a5_chain(spec: ClassSpec, p_stack):
-    """(a2..a5, implied (l1..l4)) for the two order-4 families.
+    """(a2..a5, implied (l1..l4)) for the classes :func:`bounds.a5_family` admits.
 
-    Supported: the z f'/f operator at lambda 0 with the half-plane
-    generator of order rho (target rho + (1-rho) p) or the strong
-    generator of order beta (target p**beta).
+    Those are the z f'/f operator at lambda 0 with the half-plane
+    generator of order rho in [0, 1/2] (target rho + (1-rho) p) or the
+    strong generator of order beta in [1/2, 1] (target p**beta).
     """
-    fam = spec.generator.family
-    if spec.operator != "st" or float(spec.lam) != 0 or fam not in ("order", "strong"):
-        raise OracleError("fifth-coefficient chain needs st:lambda=0 with order or strong generator")
+    family = a5_family(spec)
+    if family is None:
+        raise OracleError(A5_UNAVAILABLE)
+    fam, param = family
     c = [p_stack[..., k] for k in range(4)]
     if fam == "order":
-        x = 1.0 - float(spec.generator.params["rho"])
+        x = 1.0 - param
         t = [x * ck for ck in c]
     else:
-        beta = float(spec.generator.params["beta"])
-        t = list(_pow_chain(*c, beta))
+        t = list(_pow_chain(*c, param))
     a2, a3, a4, a5 = _zf_over_f_inverse_chain(*t)
     tau = _zf_over_f_forward_chain(*_invert_coeffs(a2, a3, a4, a5))
     if fam == "order":
         l = [tk / x for tk in tau]
     else:
-        l = list(_exp_chain(*((si / beta) for si in _log_chain(*tau))))
+        l = list(_exp_chain(*((si / param) for si in _log_chain(*tau))))
     return (a2, a3, a4, a5), np.stack(l, axis=-1)
 
 
@@ -222,21 +230,23 @@ def _moments_from_params(theta, w, m):
     return 2.0 * (w[None, :] @ np.exp(-1j * orders[:, None] * theta[None, :]).T).ravel()
 
 
-def _refine(spec, target_index, theta0, w0, config, use_a5=False):
+def _system(spec, p_stack):
+    """(coefficients, implied tuple): a2..a4 from (p1, p2, p3), a2..a5 from (p1..p4)."""
+    if p_stack.shape[-1] == 4:
+        return a5_chain(spec, p_stack)
+    a2, a3, a4 = solve_fast(spec, p_stack)
+    return (a2, a3, a4), implied_q_fast(spec, a2, a3, a4)
+
+
+def _refine(spec, target_index, theta0, w0, m, config):
     """Polish one candidate measure by penalized simplex search."""
     K = len(theta0)
-    m = 4 if use_a5 else 3
 
     def objective(x):
         theta = x[:K]
         w = np.abs(x[K:]) + 1e-12
         w = w / w.sum()
-        p = _moments_from_params(theta, w, m)
-        if use_a5:
-            coeffs, q = a5_chain(spec, p[None, :])
-        else:
-            a2, a3, a4 = solve_fast(spec, p[None, :])
-            coeffs, q = (a2, a3, a4), implied_q_fast(spec, a2, a3, a4)
+        coeffs, q = _system(spec, _moments_from_params(theta, w, m)[None, :])
         lam_min = np.linalg.eigvalsh(toeplitz_batch(q))[0, 0]
         value = abs(complex(coeffs[target_index][0]))
         return -value + 1e4 * max(0.0, -(lam_min + config.tol_feasible))
@@ -250,39 +260,23 @@ def _refine(spec, target_index, theta0, w0, config, use_a5=False):
     return theta, w
 
 
-def _verify_candidate(spec, theta, w, target_index, config, use_a5=False):
-    m = 4 if use_a5 else 3
-    p = _moments_from_params(theta, w, m)
-    if use_a5:
-        coeffs, q = a5_chain(spec, p[None, :])
-    else:
-        a2, a3, a4 = solve_fast(spec, p[None, :])
-        coeffs, q = (a2, a3, a4), implied_q_fast(spec, a2, a3, a4)
-    feasible = smallest_eigenvalue(tuple(q[0])) >= -config.tol_feasible
-    value = abs(complex(coeffs[target_index][0]))
-    return value, feasible, tuple(complex(e) for e in p), tuple(complex(e) for e in q[0])
+def _search(spec, target_index, config):
+    """Largest feasible |a_(target_index + 2)|: (best_value, feasible_count, argmax).
 
-
-def max_coeff(spec: ClassSpec, target: str, config: SearchConfig = SearchConfig()) -> OracleReport:
-    """Search the relaxed feasible set for the largest |a_target|."""
-    if target not in TARGETS:
-        raise OracleError(f"target must be one of {TARGETS}")
-    idx = TARGETS.index(target)
-    bound = class_bounds(spec)[idx].value
-
+    a2..a4 come from one order-3 system whose implied tuple is checked in
+    full; a5 needs the order-4 chain.
+    """
+    m = 4 if target_index == 3 else 3
     sampler = MeasureSampler(config.seed, config.max_atoms, config.restrict_real)
-    p, (angles, weights, _) = sampler.moments(config.samples, 3)
-    a2, a3, a4 = solve_fast(spec, p)
-    q = implied_q_fast(spec, a2, a3, a4)
+    p, (angles, weights, _) = sampler.moments(config.samples, m)
+    coeffs, q = _system(spec, p)
     feasible = admissible_mask(q, config.tol_feasible)
     n_feasible = int(feasible.sum())
     if n_feasible == 0:
         raise OracleError("search produced no feasible system")
 
-    values = np.abs((a2, a3, a4)[idx])
-    values = np.where(feasible, values, -np.inf)
+    values = np.where(feasible, np.abs(coeffs[target_index]), -np.inf)
     order = np.argsort(values)[::-1][: config.refine_top] if config.refine_top else ()
-
     top = int(np.argmax(values))
     best_value = float(values[top])
     best = {"p": tuple(complex(e) for e in p[top]),
@@ -291,12 +285,26 @@ def max_coeff(spec: ClassSpec, target: str, config: SearchConfig = SearchConfig(
     for i in order:
         if not feasible[i]:
             continue
-        theta, w = _refine(spec, idx, angles[i], weights[i], config)
-        value, ok, p_ref, q_ref = _verify_candidate(spec, theta, w, idx, config)
+        theta, w = _refine(spec, target_index, angles[i], weights[i], m, config)
+        p_ref = _moments_from_params(theta, w, m)
+        coeffs_ref, q_ref = _system(spec, p_ref[None, :])
+        ok = smallest_eigenvalue(tuple(q_ref[0])) >= -config.tol_feasible
+        value = abs(complex(coeffs_ref[target_index][0]))
         if ok and value > best_value:
             best_value = value
-            best = {"p": p_ref, "q": q_ref, "refined": True,
+            best = {"p": tuple(complex(e) for e in p_ref),
+                    "q": tuple(complex(e) for e in q_ref[0]), "refined": True,
                     "atoms": [(float(t), float(wk)) for t, wk in zip(theta, w)]}
+    return best_value, n_feasible, best
+
+
+def max_coeff(spec: ClassSpec, target: str, config: SearchConfig = SearchConfig()) -> OracleReport:
+    """Search the relaxed feasible set for the largest |a_target|."""
+    if target not in TARGETS:
+        raise OracleError(f"target must be one of {TARGETS}")
+    idx = TARGETS.index(target)
+    bound = class_bounds(spec)[idx].value
+    best_value, n_feasible, best = _search(spec, idx, config)
     return OracleReport(
         spec_text=spec.text(),
         target=target,
@@ -327,42 +335,19 @@ class A5Report:
 
 
 def _a5_variant_bounds(spec: ClassSpec):
-    if spec.generator.family == "order":
-        rho = float(spec.generator.params["rho"])
-        return rho, {"stated": st_rho_a5(rho, "stated"), "proof": st_rho_a5(rho, "proof")}
-    beta = float(spec.generator.params["beta"])
-    return beta, {"stated": ss_beta_a5(beta, "stated"), "rederived": ss_beta_a5(beta, "rederived")}
+    family = a5_family(spec)
+    if family is None:
+        raise OracleError(A5_UNAVAILABLE)
+    fam, param = family
+    if fam == "order":
+        return param, {v: st_rho_a5(param, v) for v in ST_RHO_A5_VARIANTS}
+    return param, {v: ss_beta_a5(param, v) for v in SS_BETA_A5_VARIANTS}
 
 
 def check_a5_system(spec: ClassSpec, config: SearchConfig = SearchConfig()) -> A5Report:
     """Search |a5| over the relaxed set and compare every bound variant."""
     param, variant_bounds = _a5_variant_bounds(spec)
-
-    sampler = MeasureSampler(config.seed, config.max_atoms, config.restrict_real)
-    p, (angles, weights, _) = sampler.moments(config.samples, 4)
-    (a2, a3, a4, a5), l = a5_chain(spec, p)
-    feasible = admissible_mask(l, config.tol_feasible)
-    n_feasible = int(feasible.sum())
-    if n_feasible == 0:
-        raise OracleError("search produced no feasible system")
-
-    values = np.where(feasible, np.abs(a5), -np.inf)
-    order = np.argsort(values)[::-1][: config.refine_top] if config.refine_top else ()
-    top = int(np.argmax(values))
-    best_value = float(values[top])
-    best = {"p": tuple(complex(e) for e in p[top]),
-            "q": tuple(complex(e) for e in l[top]),
-            "refined": False}
-    for i in order:
-        if not feasible[i]:
-            continue
-        theta, w = _refine(spec, 3, angles[i], weights[i], config, use_a5=True)
-        value, ok, p_ref, q_ref = _verify_candidate(spec, theta, w, 3, config, use_a5=True)
-        if ok and value > best_value:
-            best_value = value
-            best = {"p": p_ref, "q": q_ref, "refined": True,
-                    "atoms": [(float(t), float(wk)) for t, wk in zip(theta, w)]}
-
+    best_value, n_feasible, best = _search(spec, 3, config)
     variants = {
         name: {
             "bound": b,

@@ -227,14 +227,6 @@ class TruncatedSeries:
         return TruncatedSeries([self.coeffs[0] * 0] + list(self.coeffs), order)
 
 
-def mul(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
-    return x * y
-
-
-def div(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
-    return x / y
-
-
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     """Coefficients of outer(inner(z)) to the common truncation order."""
     if inner.coeffs[0] != 0:

@@ -3,11 +3,15 @@ import io
 import json
 import math
 
+from dataclasses import fields
+
 import pytest
 
 from bikoeff import cli
-from bikoeff.bounds import BoundBreakdown
+from bikoeff.bounds import BoundBreakdown, a5_family
+from bikoeff.classes import parse_spec
 from bikoeff.cli import ReportDocument, main
+from bikoeff.oracle import SearchConfig
 
 
 def run(capsys, *argv):
@@ -97,6 +101,32 @@ def test_a5_outside_supported_family_exits_one(capsys):
     assert "a5" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "st:lambda=0:order:rho=0.7", "--coeffs", "a5"),
+    ("bounds", "ss:beta=0.3", "--coeffs", "a2,a5"),
+    ("verify", "st:lambda=0:order:rho=0.7", "--target", "a5"),
+    ("verify", "ss:beta=0.3", "--target", "a5"),
+])
+def test_a5_outside_theorem_range_exits_one(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "a5 bound is only available" in err
+    assert "rho in [0, 1/2]" in err and "beta in [1/2, 1]" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "st:lambda=1e300:order:rho=0"),
+    ("bounds", "m:lambda=1e300:order:rho=0"),
+    ("verify", "st:lambda=1e300:order:rho=0", "--target", "a2"),
+    ("verify", "m:lambda=1e300:order:rho=0", "--target", "a2"),
+])
+def test_bound_overflow_is_a_one_line_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "overflows" in err
+
+
 # -- serialization -----------------------------------------------------------
 
 
@@ -163,7 +193,39 @@ def test_verify_a5_unsupported_family(capsys):
     assert code == 1
 
 
+GENERATORS = {
+    "order": [("rho=0", True), ("rho=1/2", True), ("rho=0.7", False)],
+    "strong": [("beta=1/2", True), ("beta=1", True), ("beta=0.3", False)],
+    "janowski": [("A=1/2,B=-1/2", False)],
+    "custom": [("B1=1,B2=1/2,B3=1/4", False)],
+}
+
+
+@pytest.mark.parametrize("op", ["st", "m"])
+@pytest.mark.parametrize("lam", ["0", "1/2"])
+@pytest.mark.parametrize("family,params,in_range",
+                         [(f, p, ok) for f, cases in GENERATORS.items() for p, ok in cases])
+def test_verify_all_has_a5_rows_exactly_when_a5_family(capsys, op, lam, family, params, in_range):
+    text = f"{op}:lambda={lam}:{family}:{params}"
+    expected = op == "st" and lam == "0" and in_range
+    assert (a5_family(parse_spec(text)) is not None) == expected
+    code, out, _ = run(capsys, "verify", text, "--samples", "300", "--refine-top", "0", "--format", "json")
+    assert code == 0
+    coeffs = [row["coefficient"] for row in json.loads(out)["rows"]]
+    assert coeffs == ["a2", "a3", "a4"] + (["a5", "a5"] if expected else [])
+
+
 # -- config file and environment seed ----------------------------------------
+
+
+@pytest.mark.parametrize("command", [["verify", "st:lambda=0:order:rho=0"], ["report"]])
+def test_defaults_are_search_config_defaults(monkeypatch, command):
+    monkeypatch.delenv("BIKOEFF_SEED", raising=False)
+    args = cli.build_parser().parse_args(command)
+    cli._apply_defaults(args)
+    for f in fields(SearchConfig):
+        assert getattr(args, f.name) == getattr(SearchConfig(), f.name), f.name
+    assert cli._search_config(args) == SearchConfig()
 
 
 def test_config_file_and_env_precedence(tmp_path, capsys, monkeypatch):
