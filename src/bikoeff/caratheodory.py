@@ -52,10 +52,6 @@ class CaratheodoryTuple:
     def scaled(self, t):
         return CaratheodoryTuple(tuple(t * e for e in self.entries))
 
-    @property
-    def is_real(self):
-        return all(e.imag == 0 for e in self.entries)
-
 
 @dataclass(frozen=True)
 class AtomicMeasure:

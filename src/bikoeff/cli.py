@@ -1,7 +1,9 @@
 """Command-line front end: bounds, verification runs, expansions, sweeps.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 a certified
-bound violation was found.  Reports serialize as JSON (schema_version
+Exit codes: 0 success, 1 usage or configuration error, 2 the search found
+a sample of the relaxed feasible set above a proven bound (this refutes
+proofs that use only the relaxed p/q constraints; the sample is not a
+function in the class).  Reports serialize as JSON (schema_version
 "1"), RFC-4180 CSV, or aligned text tables; numbers carry 15
 significant digits.
 """
@@ -19,17 +21,15 @@ from fractions import Fraction
 
 from .bounds import (
     A5_UNAVAILABLE,
-    PROVEN_A5_VARIANTS,
     SS_BETA_A5_VARIANTS,
     ST_RHO_A5_VARIANTS,
-    DegenerateBoundError,
     a5_family,
     class_bounds,
     ss_beta_a5,
     st_rho_a5,
 )
 from .classes import ClassSpec, SpecParseError, apply_operator, parse_spec
-from .oracle import OracleError, SearchConfig, check_a5_system, max_coeff
+from .oracle import TARGETS, OracleError, SearchConfig, check_a5_system, max_coeff
 from .series import TruncatedSeries, revert
 
 SCHEMA_VERSION = "1"
@@ -38,6 +38,7 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
 COEFF_NAMES = ("a2", "a3", "a4", "a5")
+FORMATS = ("table", "json", "csv")
 
 
 class CliError(Exception):
@@ -74,16 +75,6 @@ class ReportDocument:
             "provenance": clean(self.provenance),
         }
         return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReportDocument":
-        payload = json.loads(text)
-        return cls(
-            spec=payload["spec"],
-            rows=payload["rows"],
-            provenance=payload.get("provenance", {}),
-            schema_version=payload["schema_version"],
-        )
 
     def _columns(self):
         cols = []
@@ -150,27 +141,21 @@ def _a5_rows(spec: ClassSpec):
 
 def bounds_rows(spec: ClassSpec, coeffs):
     rows = []
-    want_abc = [c for c in coeffs if c != "a5"]
-    if want_abc:
-        try:
-            breakdowns = class_bounds(spec)
-        except DegenerateBoundError as exc:
-            raise CliError(str(exc))
-        by_name = dict(zip(("a2", "a3", "a4"), breakdowns))
-        for name in coeffs:
-            if name == "a5":
-                continue
-            b = by_name[name]
-            row = {
-                "coefficient": name,
-                "bound": _sig15(b.value),
-                "branch": b.branch,
-                "route": b.route,
-                "variant": "",
-            }
-            if b.constants:
-                row["constants"] = {k: _sig15(v) for k, v in b.constants.items()}
-            rows.append(row)
+    targets = [c for c in coeffs if c != "a5"]
+    # a DegenerateBoundError is a ValueError, which main reports as exit 1
+    breakdowns = class_bounds(spec) if targets else ()
+    for name in targets:
+        b = breakdowns[TARGETS.index(name)]
+        row = {
+            "coefficient": name,
+            "bound": _sig15(b.value),
+            "branch": b.branch,
+            "route": b.route,
+            "variant": "",
+        }
+        if b.constants:
+            row["constants"] = {k: _sig15(v) for k, v in b.constants.items()}
+        rows.append(row)
     if "a5" in coeffs:
         rows.extend(_a5_rows(spec))
     return rows
@@ -198,11 +183,18 @@ def _parse_coeffs(text):
 # verify
 # ---------------------------------------------------------------------------
 
-SEARCH_DEFAULTS = {f.name: f.default for f in fields(SearchConfig)}
-
 
 def _search_config(args) -> SearchConfig:
-    return SearchConfig(**{name: getattr(args, name) for name in SEARCH_DEFAULTS})
+    return SearchConfig(**{f.name: getattr(args, f.name) for f in fields(SearchConfig)})
+
+
+def _target_report(spec: ClassSpec, target, config: SearchConfig):
+    """(oracle report, branch, route) for one target; a5 bounds carry no branch."""
+    if target == "a5":
+        return check_a5_system(spec, config), "", ""
+    rep = max_coeff(spec, target, config)
+    breakdown = class_bounds(spec)[TARGETS.index(target)]
+    return rep, breakdown.branch, breakdown.route
 
 
 def verify_rows(spec: ClassSpec, targets, config: SearchConfig):
@@ -210,41 +202,22 @@ def verify_rows(spec: ClassSpec, targets, config: SearchConfig):
     violated_proven = False
     witnesses = []
     for target in targets:
-        if target == "a5":
-            rep = check_a5_system(spec, config)
-            proven = PROVEN_A5_VARIANTS[spec.generator.family]
-            for name, v in rep.variants.items():
-                rows.append({
-                    "coefficient": "a5",
-                    "bound": _sig15(v["bound"]),
-                    "branch": "",
-                    "route": "",
-                    "variant": name,
-                    "oracle_best": _sig15(rep.best_value),
-                    "slack": _sig15(v["slack"]),
-                    "violated": bool(v["violated"]),
-                    "proven": name == proven,
-                })
-                if v["violated"] and name == proven:
-                    violated_proven = True
-                    witnesses.append(rep.argmax)
-        else:
-            rep = max_coeff(spec, target, config)
-            breakdown = class_bounds(spec)[("a2", "a3", "a4").index(target)]
+        rep, branch, route = _target_report(spec, target, config)
+        for name, v in rep.variants.items():
             rows.append({
                 "coefficient": target,
-                "bound": _sig15(rep.bound),
-                "branch": breakdown.branch,
-                "route": breakdown.route,
-                "variant": "",
+                "bound": _sig15(v["bound"]),
+                "branch": branch,
+                "route": route,
+                "variant": name,
                 "oracle_best": _sig15(rep.best_value),
-                "slack": _sig15(rep.slack),
-                "violated": bool(rep.violated),
-                "proven": True,
+                "slack": _sig15(v["slack"]),
+                "violated": bool(v["violated"]),
+                "proven": v["proven"],
             })
-            if rep.violated:
-                violated_proven = True
-                witnesses.append(rep.argmax)
+        if rep.violated:
+            violated_proven = True
+            witnesses.append(rep.argmax)
     return rows, violated_proven, witnesses
 
 
@@ -348,8 +321,8 @@ def sweep_rows(template: str, grid, coeffs):
                 "param": _sig15(value),
                 "coeff": row["coefficient"],
                 "bound": row["bound"],
-                "branch": row["branch"] if row["coefficient"] != "a5" else "",
-                "variant": row.get("variant", ""),
+                "branch": row["branch"],
+                "variant": row["variant"],
             })
     return rows
 
@@ -358,12 +331,7 @@ def cmd_sweep(args) -> int:
     lo, hi, steps = _parse_range(args.range)
     grid = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)] if steps > 1 else [lo]
     rows = sweep_rows(args.spec_template, grid, _parse_coeffs(args.coeffs))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["param", "coeff", "bound", "branch", "variant"])
-    for row in rows:
-        writer.writerow([_cell(row[c]) for c in ("param", "coeff", "bound", "branch", "variant")])
-    _emit(buf.getvalue(), args.out)
+    _emit(ReportDocument(args.spec_template, rows).to_csv(), args.out)
     return EXIT_OK
 
 
@@ -439,17 +407,27 @@ def _load_config_file(path):
     return values
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_bool(text):
+    if text.lower() not in _BOOLEANS:
+        raise ValueError(f"invalid boolean {text!r} (choose from {', '.join(_BOOLEANS)})")
+    return _BOOLEANS[text.lower()]
+
+
+def _parse_format(text):
+    if text not in FORMATS:
+        raise ValueError(f"invalid choice {text!r} (choose from {', '.join(FORMATS)})")
+    return text
+
+
+# SearchConfig's fields are the oracle options: flags, config keys and defaults
 _CONFIG_CASTS = {
-    "samples": int,
-    "seed": int,
-    "refine_top": int,
-    "refine_steps": int,
-    "max_atoms": int,
-    "tol_feasible": float,
-    "tol_violation": float,
-    "restrict_real": lambda v: v.lower() in ("1", "true", "yes"),
-    "format": str,
-}
+    f.name: _parse_bool if isinstance(f.default, bool) else type(f.default)
+    for f in fields(SearchConfig)
+} | {"format": _parse_format}
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(SearchConfig)} | {"format": "table"}
 
 
 def _apply_defaults(args):
@@ -458,36 +436,36 @@ def _apply_defaults(args):
     for key, value in file_values.items():
         if key not in _CONFIG_CASTS:
             raise CliError(f"unknown config key {key!r}")
-    defaults = {**SEARCH_DEFAULTS, "format": "table"}
     env = os.environ.get("BIKOEFF_SEED")
     for key, cast in _CONFIG_CASTS.items():
         if getattr(args, key, "absent") is not None:
             continue
         if key in file_values:
-            setattr(args, key, cast(file_values[key]))
+            try:
+                setattr(args, key, cast(file_values[key]))
+            except ValueError as exc:
+                raise CliError(f"config key {key!r}: {exc}")
         elif key == "seed" and env:
             try:
                 args.seed = int(env)
             except ValueError:
                 raise CliError(f"BIKOEFF_SEED must be an integer, got {env!r}")
         else:
-            setattr(args, key, defaults[key])
+            setattr(args, key, _CONFIG_DEFAULTS[key])
 
 
 def _add_oracle_flags(p):
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--refine-top", dest="refine_top", type=int, default=None)
-    p.add_argument("--refine-steps", dest="refine_steps", type=int, default=None)
-    p.add_argument("--max-atoms", dest="max_atoms", type=int, default=None)
-    p.add_argument("--tol-feasible", dest="tol_feasible", type=float, default=None)
-    p.add_argument("--tol-violation", dest="tol_violation", type=float, default=None)
-    p.add_argument("--restrict-real", dest="restrict_real", action="store_const", const=True, default=None)
+    for f in fields(SearchConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            p.add_argument(flag, action="store_const", const=True, default=None)
+        else:
+            p.add_argument(flag, type=type(f.default), default=None)
     p.add_argument("--config", default=None)
 
 
 def _add_output_flags(p):
-    p.add_argument("--format", choices=("table", "json", "csv"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--out", default=None)
 
 

@@ -7,8 +7,10 @@ derive the unique tuple the inverse-function equations force on the
 other side, and keep the sample only if that tuple is admissible too.
 The supremum of |a_n| over this relaxed set dominates the supremum over
 the function class itself, so a closed-form bound that survives the
-search is (empirically) certified and a feasible sample exceeding it is
-a genuine counterexample.
+search is (empirically) certified.  A feasible sample exceeding a bound
+is not a function in the class: the p- and q-tuples are independent
+points of the truncated coefficient body, so the sample only refutes a
+proof that uses no more than those constraints.
 
 Coefficient solving here is a vectorized closed-form fast path; the
 generic series route in :mod:`bikoeff.classes` is the slow reference the
@@ -25,6 +27,7 @@ from scipy.optimize import least_squares, minimize
 
 from .bounds import (
     A5_UNAVAILABLE,
+    PROVEN_A5_VARIANTS,
     SS_BETA_A5_VARIANTS,
     ST_RHO_A5_VARIANTS,
     a5_family,
@@ -67,12 +70,20 @@ class SearchConfig:
             raise ValueError("samples must be >= 1")
         if self.refine_top < 0:
             raise ValueError("refine_top must be >= 0")
-        if self.tol_feasible < 0 or self.tol_violation < 0:
-            raise ValueError("tolerances must be >= 0")
+        if not all(math.isfinite(t) and t >= 0 for t in (self.tol_feasible, self.tol_violation)):
+            raise ValueError("tolerances must be finite and >= 0")
 
 
 @dataclass(frozen=True)
 class OracleReport:
+    """Largest |a_target| found, against every bound variant of the target.
+
+    ``variants`` maps a variant name to its ``bound``, ``slack``,
+    ``violated`` and ``proven``; a2..a4 have the single variant ``""``.
+    The top-level ``bound``, ``slack`` and ``violated`` are the proven
+    variant's.
+    """
+
     spec_text: str
     target: str
     bound: float
@@ -81,6 +92,7 @@ class OracleReport:
     violated: bool
     feasible_count: int
     samples: int
+    variants: dict
     argmax: dict = field(default_factory=dict)
 
 
@@ -269,10 +281,14 @@ def _search(spec, target_index, config):
     m = 4 if target_index == 3 else 3
     sampler = MeasureSampler(config.seed, config.max_atoms, config.restrict_real)
     p, (angles, weights, _) = sampler.moments(config.samples, m)
-    coeffs, q = _system(spec, p)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # non-finite rows fail admissible_mask
+        coeffs, q = _system(spec, p)
     feasible = admissible_mask(q, config.tol_feasible)
     n_feasible = int(feasible.sum())
     if n_feasible == 0:
+        if not np.isfinite(q).all(axis=-1).any():
+            raise OracleError("implied tuples overflow floating point for this class")
         raise OracleError("search produced no feasible system")
 
     values = np.where(feasible, np.abs(coeffs[target_index]), -np.inf)
@@ -298,73 +314,51 @@ def _search(spec, target_index, config):
     return best_value, n_feasible, best
 
 
-def max_coeff(spec: ClassSpec, target: str, config: SearchConfig = SearchConfig()) -> OracleReport:
-    """Search the relaxed feasible set for the largest |a_target|."""
-    if target not in TARGETS:
-        raise OracleError(f"target must be one of {TARGETS}")
-    idx = TARGETS.index(target)
-    bound = class_bounds(spec)[idx].value
-    best_value, n_feasible, best = _search(spec, idx, config)
-    return OracleReport(
-        spec_text=spec.text(),
-        target=target,
-        bound=bound,
-        best_value=best_value,
-        slack=bound - best_value,
-        violated=best_value > bound + config.tol_violation,
-        feasible_count=n_feasible,
-        samples=config.samples,
-        argmax=best,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Fifth-coefficient adjudication
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class A5Report:
-    spec_text: str
-    param: float
-    samples: int
-    feasible_count: int
-    best_value: float
-    variants: dict  # name -> {"bound", "violated", "slack"}
-    argmax: dict = field(default_factory=dict)
-
-
-def _a5_variant_bounds(spec: ClassSpec):
-    family = a5_family(spec)
-    if family is None:
-        raise OracleError(A5_UNAVAILABLE)
-    fam, param = family
-    if fam == "order":
-        return param, {v: st_rho_a5(param, v) for v in ST_RHO_A5_VARIANTS}
-    return param, {v: ss_beta_a5(param, v) for v in SS_BETA_A5_VARIANTS}
-
-
-def check_a5_system(spec: ClassSpec, config: SearchConfig = SearchConfig()) -> A5Report:
-    """Search |a5| over the relaxed set and compare every bound variant."""
-    param, variant_bounds = _a5_variant_bounds(spec)
-    best_value, n_feasible, best = _search(spec, 3, config)
+def _report(spec, target_index, variant_bounds, proven, config):
+    best_value, n_feasible, best = _search(spec, target_index, config)
     variants = {
         name: {
             "bound": b,
             "violated": best_value > b + config.tol_violation,
             "slack": b - best_value,
+            "proven": name == proven,
         }
         for name, b in variant_bounds.items()
     }
-    return A5Report(
+    top = variants[proven]
+    return OracleReport(
         spec_text=spec.text(),
-        param=param,
-        samples=config.samples,
-        feasible_count=n_feasible,
+        target=f"a{target_index + 2}",
+        bound=top["bound"],
         best_value=best_value,
+        slack=top["slack"],
+        violated=top["violated"],
+        feasible_count=n_feasible,
+        samples=config.samples,
         variants=variants,
         argmax=best,
     )
+
+
+def max_coeff(spec: ClassSpec, target: str, config: SearchConfig = SearchConfig()) -> OracleReport:
+    """Search the relaxed feasible set for the largest |a_target|, a2..a4."""
+    if target not in TARGETS:
+        raise OracleError(f"target must be one of {TARGETS}")
+    idx = TARGETS.index(target)
+    return _report(spec, idx, {"": class_bounds(spec)[idx].value}, "", config)
+
+
+def check_a5_system(spec: ClassSpec, config: SearchConfig = SearchConfig()) -> OracleReport:
+    """Search |a5| over the relaxed set and compare every bound variant."""
+    family = a5_family(spec)
+    if family is None:
+        raise OracleError(A5_UNAVAILABLE)
+    fam, param = family
+    if fam == "order":
+        variant_bounds = {v: st_rho_a5(param, v) for v in ST_RHO_A5_VARIANTS}
+    else:
+        variant_bounds = {v: ss_beta_a5(param, v) for v in SS_BETA_A5_VARIANTS}
+    return _report(spec, 3, variant_bounds, PROVEN_A5_VARIANTS[fam], config)
 
 
 # ---------------------------------------------------------------------------

@@ -220,12 +220,6 @@ class TruncatedSeries:
             raise SeriesError("cannot divide by z: nonzero constant term")
         return TruncatedSeries(list(self.coeffs[1:]), self.order - 1)
 
-    def shift_up(self, order=None):
-        """Multiply by z, truncating at ``order`` (default: same order)."""
-        if order is None:
-            order = self.order
-        return TruncatedSeries([self.coeffs[0] * 0] + list(self.coeffs), order)
-
 
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     """Coefficients of outer(inner(z)) to the common truncation order."""
@@ -318,10 +312,3 @@ def mobius_to_disk(p: TruncatedSeries) -> TruncatedSeries:
     if p.coeffs[0] != 1:
         raise SeriesError("mobius_to_disk requires constant term 1")
     return (p - 1) / (p + 1)
-
-
-def disk_to_halfplane(r: TruncatedSeries) -> TruncatedSeries:
-    """Inverse of :func:`mobius_to_disk`: (1+r)/(1-r) for r with r(0)=0."""
-    if r.coeffs[0] != 0:
-        raise SeriesError("disk_to_halfplane requires zero constant term")
-    return (1 + r) / (1 - r)

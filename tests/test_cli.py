@@ -2,12 +2,12 @@ import csv
 import io
 import json
 import math
-
+import warnings
 from dataclasses import fields
 
 import pytest
 
-from bikoeff import cli
+from bikoeff import cli, oracle
 from bikoeff.bounds import BoundBreakdown, a5_family
 from bikoeff.classes import parse_spec
 from bikoeff.cli import ReportDocument, main
@@ -50,18 +50,40 @@ def test_missing_command_exits_one(capsys):
     assert run(capsys)[0] == 1
 
 
-def test_violation_exits_two(capsys, monkeypatch):
-    from bikoeff import oracle
-
+@pytest.fixture
+def tiny_bounds(monkeypatch):
     tiny = BoundBreakdown(0.01, "case_a", "route_one", {"route_one": 0.01})
     monkeypatch.setattr(oracle, "class_bounds", lambda spec: (tiny, tiny, tiny))
     monkeypatch.setattr(cli, "class_bounds", lambda spec: (tiny, tiny, tiny))
+
+
+def test_violation_exits_two(capsys, tiny_bounds):
     code, _, err = run(
         capsys, "verify", "st:lambda=0:order:rho=0",
         "--target", "a2", "--samples", "300", "--refine-top", "0",
     )
     assert code == 2
     assert "witness" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_exits_one(capsys, tiny_bounds, tol):
+    # a NaN or infinite tol_violation would hide the violation behind exit 0
+    code, _, err = run(
+        capsys, "verify", "st:lambda=0:order:rho=0", "--target", "a2",
+        "--samples", "300", "--refine-top", "0", "--tol-violation", tol,
+    )
+    assert code == 1
+    assert "finite" in err
+
+
+def test_overflowing_implied_tuples_exit_one_without_warnings(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "verify", "st:lambda=0:custom:B1=1e-300,B2=1,B3=1",
+                           "--target", "a2", "--samples", "300")
+    assert code == 1
+    assert err.count("\n") == 1 and "implied tuples overflow" in err
 
 
 # -- bounds output -----------------------------------------------------------
@@ -133,9 +155,10 @@ def test_bound_overflow_is_a_one_line_error(capsys, argv):
 def test_json_roundtrip(capsys):
     code, out, _ = run(capsys, "bounds", "st:lambda=1/2:strong:beta=0.7", "--format", "json")
     assert code == 0
-    doc = ReportDocument.from_json(out)
-    assert doc.schema_version == "1"
-    assert ReportDocument.from_json(doc.to_json()) == doc
+    payload = json.loads(out)
+    assert payload["schema_version"] == "1"
+    doc = ReportDocument(payload["spec"], payload["rows"], payload["provenance"])
+    assert json.loads(doc.to_json()) == payload
 
 
 def test_csv_is_rfc4180(capsys):
@@ -252,6 +275,26 @@ def test_bad_config_key_exits_one(tmp_path, capsys):
     cfg.write_text("wibble = 3\n")
     code, _, err = run(capsys, "verify", "st:lambda=0:order:rho=0", "--config", str(cfg))
     assert code == 1 and "wibble" in err
+
+
+@pytest.mark.parametrize("line,key", [("format = xml", "format"),
+                                      ("restrict_real = maybe", "restrict_real")])
+def test_bad_config_value_exits_one(tmp_path, capsys, line, key):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, "verify", "st:lambda=0:order:rho=0", "--target", "a2",
+                         "--samples", "100", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert key in err
+
+
+def test_config_file_booleans(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    for text, value in (("yes", True), ("TRUE", True), ("1", True), ("no", False), ("false", False)):
+        cfg.write_text(f"restrict-real = {text}\nformat = csv\n")
+        args = cli.build_parser().parse_args(["report", "--config", str(cfg)])
+        cli._apply_defaults(args)
+        assert (args.restrict_real, args.format) == (value, "csv")
 
 
 def test_bad_env_seed_exits_one(capsys, monkeypatch):

@@ -92,6 +92,8 @@ def test_best_value_below_bound():
         rep = max_coeff(parse_spec(spec_text), "a2", SearchConfig(seed=1, samples=1500, refine_top=1))
         assert not rep.violated
         assert rep.slack == rep.bound - rep.best_value
+        assert rep.variants == {"": {"bound": rep.bound, "violated": False,
+                                     "slack": rep.slack, "proven": True}}
         assert 0 < rep.feasible_count <= rep.samples
 
 
@@ -163,6 +165,9 @@ def test_a5_report_structure():
         assert v["slack"] == v["bound"] - rep.best_value
     assert rep.feasible_count > 0
     assert not rep.variants["rederived"]["violated"]
+    assert {n: v["proven"] for n, v in rep.variants.items()} == {"stated": False, "rederived": True}
+    assert (rep.bound, rep.slack, rep.violated) == tuple(
+        rep.variants["rederived"][k] for k in ("bound", "slack", "violated"))
 
 
 def test_a5_report_order_family():
@@ -215,4 +220,9 @@ def test_config_validation():
         SearchConfig(refine_top=-1)
     with pytest.raises(ValueError):
         SearchConfig(tol_feasible=-1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SearchConfig(tol_feasible=bad)
+        with pytest.raises(ValueError, match="finite"):
+            SearchConfig(tol_violation=bad)
 

@@ -11,7 +11,6 @@ from bikoeff.series import (
     SeriesKindError,
     TruncatedSeries,
     compose,
-    disk_to_halfplane,
     mobius_to_disk,
     pow_real,
     revert,
@@ -95,7 +94,7 @@ def test_long_division_example():
 def test_derivative_shift_roundtrip():
     s = TruncatedSeries([0, 1, 2, 3], 3)
     assert s.derivative().coeffs == (1, 4, 9)
-    assert s.shift_down().shift_up(3) == s
+    assert s.shift_down() == TruncatedSeries([1, 2, 3], 2)
 
 
 # -- composition and reversion ----------------------------------------------
@@ -198,7 +197,8 @@ def test_pow_real_additivity(s, t):
 @given(series_st())
 def test_mobius_roundtrip(p):
     p = p + (1 - p.coeffs[0])  # constant term 1
-    assert disk_to_halfplane(mobius_to_disk(p)) == p
+    r = mobius_to_disk(p)
+    assert (1 + r) / (1 - r) == p
 
 
 def test_mobius_halfplane_to_disk_is_z():
