@@ -93,12 +93,12 @@ def toeplitz_matrix(p) -> np.ndarray:
     """Hermitian Toeplitz matrix of the tuple: diagonal 2, off-diagonals p_{k-j}."""
     entries = [complex(e) for e in (p.entries if isinstance(p, CaratheodoryTuple) else p)]
     m = len(entries)
-    T = np.zeros((m + 1, m + 1), dtype=complex)
+    T = np.empty((m + 1, m + 1), dtype=complex)
     for j in range(m + 1):
         T[j, j] = 2.0
         for k in range(j + 1, m + 1):
             T[j, k] = entries[k - j - 1]
-            T[k, j] = np.conj(entries[k - j - 1])
+            T[k, j] = entries[k - j - 1].conjugate()
     return T
 
 

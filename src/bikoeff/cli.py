@@ -16,7 +16,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 from .bounds import (
@@ -229,7 +229,7 @@ def cmd_verify(args) -> int:
         targets = [args.target]
     config = _search_config(args)
     rows, violated, witnesses = verify_rows(spec, targets, config)
-    doc = ReportDocument(spec.text(), rows, {"seed": config.seed, "samples": config.samples})
+    doc = ReportDocument(spec.text(), rows, asdict(config))
     _emit(doc.render(args.format), args.out)
     if violated:
         for w in witnesses:
@@ -362,11 +362,7 @@ def cmd_report(args) -> int:
             row["spec"] = spec.text()
         rows.extend(sub)
         violated = violated or bad
-    doc = ReportDocument(
-        "acceptance-grid",
-        rows,
-        {"seed": config.seed, "samples": config.samples},
-    )
+    doc = ReportDocument("acceptance-grid", rows, asdict(config))
     _emit(doc.render(args.format), args.out)
     return EXIT_VIOLATION if violated else EXIT_OK
 

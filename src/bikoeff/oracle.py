@@ -14,13 +14,17 @@ proof that uses no more than those constraints.
 
 Coefficient solving here is a vectorized closed-form fast path; the
 generic series route in :mod:`bikoeff.classes` is the slow reference the
-tests compare against.
+tests compare against.  The same closed forms also take one row of
+Python scalars, which is how the refinement objective calls them: a
+one-row numpy array would pay array overhead on every operation of
+every evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import least_squares, minimize
@@ -43,7 +47,7 @@ from .caratheodory import (
     admissible_mask,
     from_atoms,
     smallest_eigenvalue,
-    toeplitz_batch,
+    toeplitz_matrix,
 )
 from .classes import ClassSpec
 
@@ -70,6 +74,8 @@ class SearchConfig:
             raise ValueError("samples must be >= 1")
         if self.refine_top < 0:
             raise ValueError("refine_top must be >= 0")
+        if self.refine_steps < 0:
+            raise ValueError("refine_steps must be >= 0")
         if not all(math.isfinite(t) and t >= 0 for t in (self.tol_feasible, self.tol_violation)):
             raise ValueError("tolerances must be finite and >= 0")
 
@@ -99,6 +105,40 @@ class OracleReport:
 # ---------------------------------------------------------------------------
 # Vectorized closed-form systems
 # ---------------------------------------------------------------------------
+#
+# Each closed form takes stacked tuples, an (..., m) array, and returns
+# arrays, or one row of m Python scalars and returns scalars and tuples.
+
+
+class FastSpec(NamedTuple):
+    """What the closed forms read from a class, as floats, resolved once."""
+
+    operator: str
+    lam: float
+    B: tuple  # (B1, B2, B3)
+    a5: tuple | None  # bounds.a5_family(spec)
+
+
+def fast_spec(spec) -> FastSpec:
+    """The :class:`FastSpec` of a ClassSpec; a FastSpec comes back as it is."""
+    if isinstance(spec, FastSpec):
+        return spec
+    return FastSpec(spec.operator, float(spec.lam),
+                    tuple(float(b) for b in spec.generator.B[:3]), a5_family(spec))
+
+
+def _columns(p, m):
+    """p1..pm: the columns of an (..., m) array, or the entries of one row of scalars."""
+    if isinstance(p, np.ndarray):
+        return [p[..., k] for k in range(m)]
+    return p[:m]
+
+
+def _stack(entries):
+    """Stack per-order results as the last axis, or keep one row of scalars a tuple."""
+    if isinstance(entries[0], (np.ndarray, np.generic)):
+        return np.stack(entries, axis=-1)
+    return tuple(entries)
 
 
 def _schwarz(p1, p2, p3):
@@ -117,16 +157,14 @@ def _unschwarz(v1, v2, v3):
     return q1, q2, q3
 
 
-def solve_fast(spec: ClassSpec, p_stack):
-    """(a2, a3, a4) arrays from stacked (p1, p2, p3) tuples, closed form."""
-    lam = float(spec.lam)
-    B1, B2, B3 = (float(b) for b in spec.generator.B[:3])
-    p1, p2, p3 = p_stack[..., 0], p_stack[..., 1], p_stack[..., 2]
-    u1, u2, u3 = _schwarz(p1, p2, p3)
+def solve_fast(spec: ClassSpec | FastSpec, p_stack):
+    """(a2, a3, a4) from stacked (p1, p2, p3) tuples, closed form."""
+    operator, lam, (B1, B2, B3), _ = fast_spec(spec)
+    u1, u2, u3 = _schwarz(*_columns(p_stack, 3))
     t1 = B1 * u1
     t2 = B1 * u2 + B2 * u1**2
     t3 = B1 * u3 + 2 * B2 * u1 * u2 + B3 * u1**3
-    if spec.operator == "st":
+    if operator == "st":
         a2 = t1 / (1 + 2 * lam)
         a3 = (t2 + (1 + 2 * lam) * a2**2) / (2 * (1 + 3 * lam))
         a4 = (t3 + (3 + 8 * lam) * a2 * a3 - (1 + 2 * lam) * a2**3) / (3 * (1 + 4 * lam))
@@ -137,11 +175,10 @@ def solve_fast(spec: ClassSpec, p_stack):
     return a2, a3, a4
 
 
-def implied_q_fast(spec: ClassSpec, a2, a3, a4):
+def implied_q_fast(spec: ClassSpec | FastSpec, a2, a3, a4):
     """Stacked (q1, q2, q3) forced by the inverse-function equations."""
-    lam = float(spec.lam)
-    B1, B2, B3 = (float(b) for b in spec.generator.B[:3])
-    if spec.operator == "st":
+    operator, lam, (B1, B2, B3), _ = fast_spec(spec)
+    if operator == "st":
         s1 = -(1 + 2 * lam) * a2
         s2 = -2 * (1 + 3 * lam) * a3 + (3 + 10 * lam) * a2**2
         s3 = -3 * (1 + 4 * lam) * a4 + (12 + 52 * lam) * a2 * a3 - (10 + 46 * lam) * a2**3
@@ -152,7 +189,7 @@ def implied_q_fast(spec: ClassSpec, a2, a3, a4):
     v1 = s1 / B1
     v2 = (s2 - B2 * v1**2) / B1
     v3 = (s3 - 2 * B2 * v1 * v2 - B3 * v1**3) / B1
-    return np.stack(_unschwarz(v1, v2, v3), axis=-1)
+    return _stack(_unschwarz(v1, v2, v3))
 
 
 # -- order-4 chains for the fifth coefficient -------------------------------
@@ -206,18 +243,18 @@ def _pow_chain(c1, c2, c3, c4, exponent):
     return _exp_chain(*(exponent * si for si in s))
 
 
-def a5_chain(spec: ClassSpec, p_stack):
+def a5_chain(spec: ClassSpec | FastSpec, p_stack):
     """(a2..a5, implied (l1..l4)) for the classes :func:`bounds.a5_family` admits.
 
     Those are the z f'/f operator at lambda 0 with the half-plane
     generator of order rho in [0, 1/2] (target rho + (1-rho) p) or the
     strong generator of order beta in [1/2, 1] (target p**beta).
     """
-    family = a5_family(spec)
+    family = fast_spec(spec).a5
     if family is None:
         raise OracleError(A5_UNAVAILABLE)
     fam, param = family
-    c = [p_stack[..., k] for k in range(4)]
+    c = _columns(p_stack, 4)
     if fam == "order":
         x = 1.0 - param
         t = [x * ck for ck in c]
@@ -229,7 +266,7 @@ def a5_chain(spec: ClassSpec, p_stack):
         l = [tk / x for tk in tau]
     else:
         l = list(_exp_chain(*((si / param) for si in _log_chain(*tau))))
-    return (a2, a3, a4, a5), np.stack(l, axis=-1)
+    return (a2, a3, a4, a5), _stack(l)
 
 
 # ---------------------------------------------------------------------------
@@ -242,27 +279,52 @@ def _moments_from_params(theta, w, m):
     return 2.0 * (w[None, :] @ np.exp(-1j * orders[:, None] * theta[None, :]).T).ravel()
 
 
-def _system(spec, p_stack):
-    """(coefficients, implied tuple): a2..a4 from (p1, p2, p3), a2..a5 from (p1..p4)."""
-    if p_stack.shape[-1] == 4:
-        return a5_chain(spec, p_stack)
-    a2, a3, a4 = solve_fast(spec, p_stack)
+def _moments_scalar(theta, w, m):
+    """:func:`_moments_from_params` for lists of floats, in scalar arithmetic."""
+    p = []
+    for n in range(1, m + 1):
+        re = im = 0.0
+        for t, wk in zip(theta, w):
+            re += wk * math.cos(n * t)
+            im -= wk * math.sin(n * t)
+        p.append(complex(2.0 * re, 2.0 * im))
+    return p
+
+
+def _system(spec, p):
+    """(coefficients, implied tuple): a2..a4 from (p1, p2, p3), a2..a5 from (p1..p4).
+
+    ``p`` is an (n, m) array or one row of m scalars.
+    """
+    if (p.shape[-1] if isinstance(p, np.ndarray) else len(p)) == 4:
+        return a5_chain(spec, p)
+    a2, a3, a4 = solve_fast(spec, p)
     return (a2, a3, a4), implied_q_fast(spec, a2, a3, a4)
+
+
+def _objective(spec, target_index, K, m, tol):
+    """Refinement objective at x = (K angles, K raw weights), in scalar arithmetic.
+
+    -|a_target| plus a penalty of 1e4 per unit by which lambda_min of the
+    implied tuple's Toeplitz matrix falls below -tol.
+    """
+    fast = fast_spec(spec)
+
+    def objective(x):
+        xs = x.tolist()
+        w = [abs(v) + 1e-12 for v in xs[K:]]
+        total = sum(w)
+        coeffs, q = _system(fast, _moments_scalar(xs[:K], [v / total for v in w], m))
+        lam_min = np.linalg.eigvalsh(toeplitz_matrix(q))[0]
+        return -abs(coeffs[target_index]) + 1e4 * max(0.0, -(lam_min + tol))
+
+    return objective
 
 
 def _refine(spec, target_index, theta0, w0, m, config):
     """Polish one candidate measure by penalized simplex search."""
     K = len(theta0)
-
-    def objective(x):
-        theta = x[:K]
-        w = np.abs(x[K:]) + 1e-12
-        w = w / w.sum()
-        coeffs, q = _system(spec, _moments_from_params(theta, w, m)[None, :])
-        lam_min = np.linalg.eigvalsh(toeplitz_batch(q))[0, 0]
-        value = abs(complex(coeffs[target_index][0]))
-        return -value + 1e4 * max(0.0, -(lam_min + config.tol_feasible))
-
+    objective = _objective(spec, target_index, K, m, config.tol_feasible)
     x0 = np.concatenate([theta0, w0])
     res = minimize(objective, x0, method="Nelder-Mead",
                    options={"maxiter": config.refine_steps * len(x0), "xatol": 1e-10, "fatol": 1e-12})

@@ -3,7 +3,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -75,6 +75,16 @@ def test_non_finite_tolerance_exits_one(capsys, tiny_bounds, tol):
     )
     assert code == 1
     assert "finite" in err
+
+
+def test_negative_refine_steps_exits_one(capsys):
+    # Nelder-Mead would otherwise quietly stop after the initial simplex
+    code, _, err = run(
+        capsys, "verify", "st:lambda=0:order:rho=0", "--target", "a2",
+        "--samples", "300", "--refine-steps", "-5",
+    )
+    assert code == 1
+    assert "refine_steps must be >= 0" in err
 
 
 def test_overflowing_implied_tuples_exit_one_without_warnings(capsys):
@@ -196,7 +206,17 @@ def test_verify_reports_slack(capsys):
     row = doc["rows"][0]
     assert row["violated"] is False
     assert row["slack"] >= 0
-    assert doc["provenance"] == {"seed": 7, "samples": 800}
+    assert doc["provenance"] == asdict(SearchConfig(seed=7, samples=800, refine_top=1, refine_steps=30))
+
+
+def test_report_provenance_is_the_search_config(capsys):
+    code, out, _ = run(
+        capsys, "report", "--samples", "300", "--seed", "3", "--refine-top", "0",
+        "--tol-feasible", "2e-7", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["provenance"] == asdict(
+        SearchConfig(seed=3, samples=300, refine_top=0, tol_feasible=2e-7))
 
 
 def test_verify_a5_both_variants(capsys):
@@ -261,13 +281,13 @@ def test_config_file_and_env_precedence(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     prov = json.loads(out)["provenance"]
-    assert prov == {"seed": 42, "samples": 300}
+    assert prov == asdict(SearchConfig(seed=42, samples=300, refine_top=0))
     # explicit flags beat both
     code, out, _ = run(
         capsys, "verify", "st:lambda=0:order:rho=0", "--target", "a2",
         "--config", str(cfg), "--samples", "200", "--seed", "5", "--format", "json",
     )
-    assert json.loads(out)["provenance"] == {"seed": 5, "samples": 200}
+    assert json.loads(out)["provenance"] == asdict(SearchConfig(seed=5, samples=200, refine_top=0))
 
 
 def test_bad_config_key_exits_one(tmp_path, capsys):

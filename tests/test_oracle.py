@@ -6,7 +6,7 @@ import pytest
 
 from bikoeff import oracle
 from bikoeff.bounds import BoundBreakdown
-from bikoeff.caratheodory import MeasureSampler, sample, smallest_eigenvalue
+from bikoeff.caratheodory import MeasureSampler, sample, smallest_eigenvalue, toeplitz_batch
 from bikoeff.classes import implied_q, parse_spec, solve_coefficients
 from bikoeff.oracle import (
     OracleError,
@@ -66,6 +66,82 @@ def test_a5_chain_rejects_unsupported_specs():
         a5_chain(parse_spec("m:lambda=0:janowski:A=1,B=-1"), np.zeros((1, 4)))
 
 
+# -- scalar refinement objective vs the one-row array path -------------------
+
+SCALAR_SPECS = [
+    f"{op}:lambda={lam}:{gen}"
+    for op in ("st", "m")
+    for lam in ("0", "1/2", "1")
+    for gen in ("order:rho=1/4", "janowski:A=1/2,B=-1/2", "strong:beta=0.6",
+                "custom:B1=1,B2=1/2,B3=1/4")
+]
+A5_SPECS = ["st:lambda=0:order:rho=1/4", "ss:beta=3/4"]
+SCALAR_RTOL = 1e-12
+
+
+def array_objective(spec, target_index, x, K, m, tol):
+    """(value, scale) of the refinement objective on the one-row array path.
+
+    The value is the reference.  Its scale is |a_target|, plus 1e4 ||T||
+    when the penalty 1e4 (-lambda_min - tol) is active: eigvalsh fixes
+    lambda_min only to within rounding of ||T||, so a penalized value near
+    the boundary carries that error whichever path computes it.
+    """
+    theta = x[:K]
+    w = np.abs(x[K:]) + 1e-12
+    w = w / w.sum()
+    coeffs, q = oracle._system(spec, oracle._moments_from_params(theta, w, m)[None, :])
+    eig = np.linalg.eigvalsh(toeplitz_batch(q))[0]
+    value = abs(complex(coeffs[target_index][0]))
+    penalty = max(0.0, -(eig[0] + tol))
+    return -value + 1e4 * penalty, value + (1e4 * np.abs(eig).max() if penalty else 0.0)
+
+
+def assert_rows_close(scalar, array):
+    scalar, array = np.asarray(scalar), np.asarray(array)
+    assert scalar.shape == array.shape
+    assert np.max(np.abs(scalar - array)) <= SCALAR_RTOL * np.max(np.abs(array))
+
+
+@pytest.mark.parametrize("spec_text,m", [(t, 3) for t in SCALAR_SPECS] + [(t, 4) for t in A5_SPECS])
+def test_scalar_system_matches_array_path(spec_text, m):
+    spec = parse_spec(spec_text)
+    fast = oracle.fast_spec(spec)
+    K, tol = 5, 1e-7
+    targets = (3,) if m == 4 else (0, 1, 2)
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        x = np.concatenate([rng.uniform(-2 * np.pi, 4 * np.pi, K), rng.uniform(-1, 1, K)])
+        theta = x[:K]
+        w = np.abs(x[K:]) + 1e-12
+        w = w / w.sum()
+        p = oracle._moments_from_params(theta, w, m)
+        assert_rows_close(oracle._moments_scalar(x[:K].tolist(), w.tolist(), m), p)
+        coeffs, q = oracle._system(fast, tuple(complex(e) for e in p))
+        ref_coeffs, ref_q = oracle._system(spec, p[None, :])
+        assert isinstance(q, tuple) and all(isinstance(e, complex) for e in (*coeffs, *q))
+        assert_rows_close([complex(c) for c in coeffs], [c[0] for c in ref_coeffs])
+        assert_rows_close(q, ref_q[0])
+        for target_index in targets:
+            value = oracle._objective(spec, target_index, K, m, tol)(x)
+            ref, scale = array_objective(spec, target_index, x, K, m, tol)
+            assert abs(value - ref) <= SCALAR_RTOL * scale
+
+
+def test_closed_forms_keep_array_shapes():
+    spec = parse_spec("st:lambda=1/2:order:rho=1/4")
+    p = np.stack([sample(s, 4).entries for s in range(6)])
+    a2, a3, a4 = solve_fast(spec, p[:, :3])
+    assert a2.shape == (6,) and implied_q_fast(spec, a2, a3, a4).shape == (6, 3)
+    assert implied_q_fast(spec, a2[0], a3[0], a4[0]).shape == (3,)
+    spec = parse_spec("ss:beta=3/4")
+    (a2, a3, a4, a5), l = a5_chain(spec, p)
+    assert a5.shape == (6,) and l.shape == (6, 4)
+    (_, _, _, b5), l_fast = a5_chain(oracle.fast_spec(spec), p)
+    assert np.array_equal(b5, a5) and np.array_equal(l_fast, l)
+    assert a5_chain(spec, p[0])[1].shape == (4,)
+
+
 # -- search ------------------------------------------------------------------
 
 
@@ -95,6 +171,16 @@ def test_best_value_below_bound():
         assert rep.variants == {"": {"bound": rep.bound, "violated": False,
                                      "slack": rep.slack, "proven": True}}
         assert 0 < rep.feasible_count <= rep.samples
+
+
+def test_refinement_gains_on_a3():
+    # the polish lifts a3 from the raw sample maximum almost to the bound 1/2
+    spec = parse_spec("st:lambda=1/2:order:rho=1/4")
+    raw = max_coeff(spec, "a3", SearchConfig(seed=0, samples=2000, refine_top=0))
+    refined = max_coeff(spec, "a3", SearchConfig(seed=0, samples=2000, refine_top=1, refine_steps=60))
+    assert raw.best_value < 0.46
+    assert refined.best_value >= 0.4999
+    assert refined.argmax["refined"] and not refined.violated
 
 
 def test_no_feasible_sample_raises():
@@ -218,6 +304,9 @@ def test_config_validation():
         SearchConfig(samples=0)
     with pytest.raises(ValueError):
         SearchConfig(refine_top=-1)
+    with pytest.raises(ValueError, match="refine_steps must be >= 0"):
+        SearchConfig(refine_steps=-1)
+    assert SearchConfig(refine_steps=0).refine_steps == 0
     with pytest.raises(ValueError):
         SearchConfig(tol_feasible=-1)
     for bad in (math.nan, math.inf):
