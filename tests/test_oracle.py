@@ -6,7 +6,7 @@ import pytest
 
 from bikoeff import oracle
 from bikoeff.bounds import BoundBreakdown
-from bikoeff.caratheodory import MeasureSampler, sample, smallest_eigenvalue, toeplitz_batch
+from bikoeff.caratheodory import MeasureSampler, atom_moments, sample, smallest_eigenvalue, toeplitz_batch
 from bikoeff.classes import implied_q, parse_spec, solve_coefficients
 from bikoeff.oracle import (
     OracleError,
@@ -90,7 +90,7 @@ def array_objective(spec, target_index, x, K, m, tol):
     theta = x[:K]
     w = np.abs(x[K:]) + 1e-12
     w = w / w.sum()
-    coeffs, q = oracle._system(spec, oracle._moments_from_params(theta, w, m)[None, :])
+    coeffs, q = oracle._system(spec, atom_moments(theta, w, m)[None, :])
     eig = np.linalg.eigvalsh(toeplitz_batch(q))[0]
     value = abs(complex(coeffs[target_index][0]))
     penalty = max(0.0, -(eig[0] + tol))
@@ -115,7 +115,7 @@ def test_scalar_system_matches_array_path(spec_text, m):
         theta = x[:K]
         w = np.abs(x[K:]) + 1e-12
         w = w / w.sum()
-        p = oracle._moments_from_params(theta, w, m)
+        p = atom_moments(theta, w, m)
         assert_rows_close(oracle._moments_scalar(x[:K].tolist(), w.tolist(), m), p)
         coeffs, q = oracle._system(fast, tuple(complex(e) for e in p))
         ref_coeffs, ref_q = oracle._system(spec, p[None, :])
