@@ -17,17 +17,24 @@ generic series route in :mod:`bikoeff.classes` is the slow reference the
 tests compare against.  The same closed forms also take one row of
 Python scalars, which is how the refinement objective calls them: a
 one-row numpy array would pay array overhead on every operation of
-every evaluation.
+every evaluation.  For the same reason the refinement runs scipy's
+Nelder-Mead algorithm on Python floats (:func:`_nelder_mead`), and the
+objective calls ``eigvalsh`` only where a scalar Levinson test does not
+find the implied tuple admissible.  The polish aims at -tol/2, half the
+feasibility tolerance, so that the polished point passes the re-check
+at -tol.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import add, lt
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
+from scipy.optimize import OptimizeResult, least_squares, minimize
 
 from .bounds import (
     A5_UNAVAILABLE,
@@ -298,31 +305,158 @@ def _system(spec, p):
     return (a2, a3, a4), implied_q_fast(spec, a2, a3, a4)
 
 
+def _positive_scalar(q, r0):
+    """Positive definiteness of the Hermitian Toeplitz matrix with diagonal r0 and off-diagonals q.
+
+    The one-row mirror of :func:`caratheodory._levinson_positive` on
+    r = conj(q): False as soon as a prediction error is not positive, which
+    includes rows holding NaN or inf.
+    """
+    r = [c.conjugate() for c in q]
+    err = r0
+    a = []
+    for k in range(len(r)):
+        acc = r[k]
+        for j in range(k):
+            acc += a[j] * r[k - 1 - j]
+        kappa = -acc / err
+        a = [a[j] + kappa * a[k - 1 - j].conjugate() for j in range(k)] + [kappa]
+        err *= 1.0 - (kappa.real * kappa.real + kappa.imag * kappa.imag)
+        if not err > 0:
+            return False
+    return True
+
+
 def _objective(spec, target_index, K, m, tol):
-    """Refinement objective at x = (K angles, K raw weights), in scalar arithmetic.
+    """Refinement objective at x = [K angles, K raw weights], a list of floats.
 
     -|a_target| plus a penalty of 1e4 per unit by which lambda_min of the
-    implied tuple's Toeplitz matrix falls below -tol.
+    implied tuple's Toeplitz matrix falls below -tol.  Where T + tol I passes
+    the scalar Levinson test there is no penalty; only the other points pay
+    for ``eigvalsh``, which sizes it.
     """
     fast = fast_spec(spec)
+    r0 = 2.0 + tol
 
     def objective(x):
-        xs = x.tolist()
-        w = [abs(v) + 1e-12 for v in xs[K:]]
+        w = [abs(v) + 1e-12 for v in x[K:]]
         total = sum(w)
-        coeffs, q = _system(fast, _moments_scalar(xs[:K], [v / total for v in w], m))
+        coeffs, q = _system(fast, _moments_scalar(x[:K], [v / total for v in w], m))
+        value = -abs(coeffs[target_index])
+        if _positive_scalar(q, r0):
+            return value
         lam_min = np.linalg.eigvalsh(toeplitz_matrix(q))[0]
-        return -abs(coeffs[target_index]) + 1e4 * max(0.0, -(lam_min + tol))
+        return value + 1e4 * max(0.0, -(lam_min + tol))
 
     return objective
 
 
+def _argsorted(sim, fsim):
+    """(sim, fsim, tied) in the order of numpy's argsort, NaNs last, as scipy sorts them.
+
+    ``tied`` is True unless the values strictly increase: then two values
+    are equal or one is NaN, and only numpy's argsort knows their order.
+    """
+    order = np.argsort(fsim).tolist()
+    fsim = [fsim[k] for k in order]
+    return [sim[k] for k in order], fsim, not all(map(lt, fsim, fsim[1:]))
+
+
+def _nelder_mead(fun, x0, args=(), maxiter=None, xatol=1e-4, fatol=1e-4, **_):
+    """scipy's non-adaptive, unbounded ``"Nelder-Mead"`` on lists of Python floats.
+
+    A ``method`` for :func:`scipy.optimize.minimize`.  It builds the same
+    initial simplex, takes the same steps and stop tests, and sums the
+    centroid row by row as ``np.add.reduce`` does, so it returns scipy's
+    ``x``, ``fun``, ``nit``, ``nfev`` and ``status`` bit for bit.  A new
+    vertex goes in by bisection; while values tie or are NaN the simplex is
+    ordered by numpy's argsort instead, which need not be stable.  ``fun``
+    gets each vertex as a list, not a copy.  ``maxiter=None`` means scipy's
+    200 N iterations; scipy then also caps evaluations at 200 N, which is
+    not modelled.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel().tolist()
+    N = len(x0)
+    if maxiter is None:
+        maxiter = 200 * N
+    sim = [x0]
+    for k in range(N):
+        y = list(x0)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    sim, fsim, tied = _argsorted(sim, [fun(v, *args) for v in sim])
+    sim, fsim, tied = _argsorted(sim, fsim)  # scipy sorts twice before its first step
+    nfev = N + 1
+    iterations = 1
+    while iterations < maxiter:
+        # fsim is sorted, so fsim[-1] - fsim[0] is the largest |fsim[0] - fsim[k]|
+        if fsim[-1] - fsim[0] <= fatol and all(
+                abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, sim[0])):
+            break
+        worst = sim[-1]
+        acc = sim[0]
+        for v in sim[1:-1]:
+            acc = list(map(add, acc, v))
+        xbar = [s / N for s in acc]
+        xr = [2 * b - w for b, w in zip(xbar, worst)]
+        fxr = fun(xr, *args)
+        nfev += 1
+        new = None
+        if fxr < fsim[0]:
+            xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]
+            fxe = fun(xe, *args)
+            nfev += 1
+            new = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            new = (xr, fxr)
+        elif fxr < fsim[-1]:
+            xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
+            fxc = fun(xc, *args)
+            nfev += 1
+            if fxc <= fxr:
+                new = (xc, fxc)
+        else:
+            xcc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
+            fxcc = fun(xcc, *args)
+            nfev += 1
+            if fxcc < fsim[-1]:
+                new = (xcc, fxcc)
+        if new is None:  # shrink toward the best vertex
+            best = sim[0]
+            for j in range(1, N + 1):
+                sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
+                fsim[j] = fun(sim[j], *args)
+            nfev += N
+            sim, fsim, tied = _argsorted(sim, fsim)
+        else:
+            x, f = new
+            j = bisect_right(fsim, f, 0, N)
+            if tied or not (j == 0 or fsim[j - 1] < f):
+                sim[-1], fsim[-1] = x, f
+                sim, fsim, tied = _argsorted(sim, fsim)
+            else:
+                del sim[-1], fsim[-1]
+                sim.insert(j, x)
+                fsim.insert(j, f)
+        iterations += 1
+    status = 2 if iterations >= maxiter else 0
+    return OptimizeResult(x=np.array(sim[0]), fun=np.min(fsim), nit=iterations, nfev=nfev,
+                          status=status, success=status == 0)
+
+
 def _refine(spec, target_index, theta0, w0, m, config):
-    """Polish one candidate measure by penalized simplex search."""
+    """Polish one candidate measure by penalized simplex search.
+
+    The simplex is scipy's Nelder-Mead run on Python floats
+    (:func:`_nelder_mead`).  The objective aims at lambda_min >= -tol/2, half
+    the feasibility tolerance: the penalized optimum sits just past the
+    tolerance it is given, and the re-check in :func:`_search` holds the
+    polished point to the full -tol.
+    """
     K = len(theta0)
-    objective = _objective(spec, target_index, K, m, config.tol_feasible)
+    objective = _objective(spec, target_index, K, m, config.tol_feasible / 2)
     x0 = np.concatenate([theta0, w0])
-    res = minimize(objective, x0, method="Nelder-Mead",
+    res = minimize(objective, x0, method=_nelder_mead,
                    options={"maxiter": config.refine_steps * len(x0), "xatol": 1e-10, "fatol": 1e-12})
     theta = res.x[:K]
     w = np.abs(res.x[K:]) + 1e-12

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bikoeff import caratheodory
+from bikoeff import caratheodory, oracle
 from bikoeff.caratheodory import (
     AtomicMeasure,
     CaratheodoryTuple,
@@ -221,12 +221,16 @@ MASK_MARGIN = 1e-12
 
 
 def assert_mask_matches_reference(p_stack, tol, reference=None):
-    """admissible_mask(p_stack) against eigvalsh of ``reference`` (default p_stack) on decided rows."""
+    """admissible_mask(p_stack) against eigvalsh of ``reference`` (default p_stack) on decided rows.
+
+    Returns the mask and the decided rows.
+    """
     lam = np.linalg.eigvalsh(toeplitz_batch(p_stack if reference is None else reference))[:, 0]
     decided = np.abs(lam + tol) > MASK_MARGIN
     mask = admissible_mask(p_stack, tol)
     assert mask.shape == (len(p_stack),) and mask.dtype == bool
     assert np.array_equal(mask[decided], (lam >= -tol)[decided])
+    return mask, decided
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -299,6 +303,25 @@ def test_mask_property_random_rows(p, tol):
     assert_mask_matches_reference(p, tol)
 
 
+def scalar_mask(p_stack, tol):
+    """oracle._positive_scalar row by row on tuples of Python complex, as the refinement calls it."""
+    return np.array([oracle._positive_scalar(tuple(complex(e) for e in row), 2.0 + tol) for row in p_stack])
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("tol", MASK_TOLS)
+def test_scalar_levinson_matches_the_mask(m, tol):
+    rng = np.random.default_rng(200 + m)
+    body = MeasureSampler(m).moments(1000, m)[0]
+    scales = rng.uniform(0.5, 1.5, size=(len(body), 1))
+    noise = rng.normal(size=body.shape) + 1j * rng.normal(size=body.shape)
+    p = np.concatenate([body, scales * body, noise])
+    mask, decided = assert_mask_matches_reference(p, tol)
+    scalar = scalar_mask(p, tol)
+    assert 0 < scalar.sum() < len(p)
+    assert np.array_equal(scalar[decided], mask[decided])
+
+
 def test_mask_rejects_non_finite_rows_quietly():
     p = np.array([
         [0.5, 0.1, 0.0],
@@ -312,3 +335,7 @@ def test_mask_rejects_non_finite_rows_quietly():
         warnings.simplefilter("error")
         mask = admissible_mask(p, 1e-9)
     assert mask.tolist() == [True, False, False, False, False, True]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert scalar_mask(p, 1e-9).tolist() == mask.tolist()
+        assert not scalar_mask(np.array([[1e200, 0, 0], [1e-300, 1e308j, 1e308]]), 1e-9).any()

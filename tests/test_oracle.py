@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from bikoeff import oracle
 from bikoeff.bounds import BoundBreakdown
@@ -123,9 +124,37 @@ def test_scalar_system_matches_array_path(spec_text, m):
         assert_rows_close([complex(c) for c in coeffs], [c[0] for c in ref_coeffs])
         assert_rows_close(q, ref_q[0])
         for target_index in targets:
-            value = oracle._objective(spec, target_index, K, m, tol)(x)
+            value = oracle._objective(spec, target_index, K, m, tol)(x.tolist())
             ref, scale = array_objective(spec, target_index, x, K, m, tol)
             assert abs(value - ref) <= SCALAR_RTOL * scale
+
+
+@pytest.mark.parametrize("spec_text,m", [("st:lambda=0:order:rho=1/4", 3),
+                                         ("m:lambda=0:janowski:A=1/2,B=-1/2", 3),
+                                         ("st:lambda=0:order:rho=1/4", 4)])
+def test_objective_skips_eigvalsh_where_the_levinson_gate_passes(spec_text, m, monkeypatch):
+    spec = parse_spec(spec_text)
+    fast = oracle.fast_spec(spec)
+    K, tol = 5, 1e-7
+    target_index = 3 if m == 4 else 1
+    objective = oracle._objective(spec, target_index, K, m, tol)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    rng = np.random.default_rng(3)
+    passed = 0
+    for _ in range(200):
+        x = np.concatenate([rng.uniform(0, 2 * np.pi, K), rng.uniform(0, 1, K)]).tolist()
+        w = [abs(v) + 1e-12 for v in x[K:]]
+        coeffs, q = oracle._system(fast, oracle._moments_scalar(x[:K], [v / sum(w) for v in w], m))
+        before = len(calls)
+        value = objective(x)
+        if oracle._positive_scalar(q, 2.0 + tol):
+            passed += 1
+            assert value == -abs(coeffs[target_index]) and len(calls) == before
+        else:
+            assert len(calls) == before + 1
+    assert 0 < passed < 200
 
 
 def test_closed_forms_keep_array_shapes():
@@ -183,6 +212,15 @@ def test_refinement_gains_on_a3():
     assert refined.argmax["refined"] and not refined.violated
 
 
+@pytest.mark.parametrize("spec_text", A5_SPECS)
+def test_refined_a5_points_pass_the_recheck(spec_text):
+    # the polish aims at -tol/2, so its optimum clears the re-check at -tol
+    cfg = SearchConfig(samples=2000, seed=0)
+    rep = check_a5_system(parse_spec(spec_text), cfg)
+    assert rep.argmax["refined"]
+    assert smallest_eigenvalue(rep.argmax["q"]) >= -cfg.tol_feasible / 2 - 1e-12
+
+
 def test_no_feasible_sample_raises():
     cfg = SearchConfig(seed=0, samples=1)
     with pytest.raises(OracleError, match="no feasible"):
@@ -238,6 +276,56 @@ def witness_satisfies_equations(spec_text, target):
 @pytest.mark.parametrize("spec_text", SPECS[:3])
 def test_witness_direct_substitution(spec_text):
     witness_satisfies_equations(spec_text, "a3")
+
+
+# -- list-based Nelder-Mead against scipy's ---------------------------------
+
+NM_WEIGHTS = [1.0 + 0.37 * k for k in range(10)]
+
+
+def rosenbrock(x):
+    return sum(100.0 * (x[i + 1] - x[i] ** 2) ** 2 + (1 - x[i]) ** 2 for i in range(len(x) - 1))
+
+
+def weighted_quadratic(x):
+    return sum(w * (v - 0.1 * k) ** 2 for k, (w, v) in enumerate(zip(NM_WEIGHTS, x)))
+
+
+def kinked(x):
+    return sum(abs(v) for v in x) - abs(x[0] * x[1])
+
+
+def stepped(x):
+    # plateaus: vertices tie, and contractions fail into shrinks
+    return round(weighted_quadratic(x), 2)
+
+
+def nm_start(seed):
+    x0 = np.random.default_rng(seed).uniform(-2, 2, 10)
+    x0[seed] = 0.0
+    return x0
+
+
+@pytest.mark.parametrize("fun", [rosenbrock, weighted_quadratic, kinked, stepped])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("maxiter", [5, 60, 600, 3000])
+def test_nelder_mead_matches_scipy(fun, seed, maxiter):
+    x0 = nm_start(seed)
+    options = {"maxiter": maxiter, "xatol": 1e-10, "fatol": 1e-12}
+    calls = []
+    ref = minimize(fun, x0, method="Nelder-Mead", options=options)
+    res = minimize(lambda x: calls.append(type(x)) or fun(x), x0, method=oracle._nelder_mead,
+                   options=options)
+    assert np.array_equal(res.x, ref.x) and res.fun == ref.fun
+    assert (res.nfev, res.nit, res.success, res.status) == (ref.nfev, ref.nit, ref.success, ref.status)
+    assert res.nfev == len(calls) and set(calls) == {list}
+
+
+def test_nelder_mead_covers_both_stops():
+    statuses = {minimize(fun, nm_start(0), method=oracle._nelder_mead,
+                         options={"maxiter": maxiter, "xatol": 1e-10, "fatol": 1e-12}).status
+                for fun in (weighted_quadratic, stepped) for maxiter in (5, 3000)}
+    assert statuses == {0, 2}
 
 
 # -- fifth-coefficient adjudication ------------------------------------------
