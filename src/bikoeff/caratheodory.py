@@ -175,6 +175,28 @@ def _levinson_positive(r: np.ndarray, r0: float) -> np.ndarray:
     return ok
 
 
+def _positive_scalar(q, r0):
+    """Positive definiteness of the Hermitian Toeplitz matrix with diagonal r0 and off-diagonals q.
+
+    The one-row mirror of :func:`_levinson_positive` on r = conj(q), in
+    Python complex arithmetic for the refinement objective: False as soon as
+    a prediction error is not positive, which includes rows holding NaN or inf.
+    """
+    r = [c.conjugate() for c in q]
+    err = r0
+    a = []
+    for k in range(len(r)):
+        acc = r[k]
+        for j in range(k):
+            acc += a[j] * r[k - 1 - j]
+        kappa = -acc / err
+        a = [a[j] + kappa * a[k - 1 - j].conjugate() for j in range(k)] + [kappa]
+        err *= 1.0 - (kappa.real * kappa.real + kappa.imag * kappa.imag)
+        if not err > 0:
+            return False
+    return True
+
+
 class MeasureSampler:
     """Deterministic stream of random atomic measures and their moment tuples.
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bikoeff import caratheodory, oracle
+from bikoeff import caratheodory
 from bikoeff.caratheodory import (
     AtomicMeasure,
     CaratheodoryTuple,
@@ -304,8 +304,8 @@ def test_mask_property_random_rows(p, tol):
 
 
 def scalar_mask(p_stack, tol):
-    """oracle._positive_scalar row by row on tuples of Python complex, as the refinement calls it."""
-    return np.array([oracle._positive_scalar(tuple(complex(e) for e in row), 2.0 + tol) for row in p_stack])
+    """caratheodory._positive_scalar row by row on tuples of Python complex, as the refinement calls it."""
+    return np.array([caratheodory._positive_scalar(tuple(complex(e) for e in row), 2.0 + tol) for row in p_stack])
 
 
 @pytest.mark.parametrize("m", [3, 4])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from bikoeff import oracle
+from bikoeff import caratheodory, oracle
 from bikoeff.bounds import BoundBreakdown
 from bikoeff.caratheodory import MeasureSampler, atom_moments, sample, smallest_eigenvalue, toeplitz_batch
 from bikoeff.classes import implied_q, parse_spec, solve_coefficients
@@ -149,7 +149,7 @@ def test_objective_skips_eigvalsh_where_the_levinson_gate_passes(spec_text, m, m
         coeffs, q = oracle._system(fast, oracle._moments_scalar(x[:K], [v / sum(w) for v in w], m))
         before = len(calls)
         value = objective(x)
-        if oracle._positive_scalar(q, 2.0 + tol):
+        if caratheodory._positive_scalar(q, 2.0 + tol):
             passed += 1
             assert value == -abs(coeffs[target_index]) and len(calls) == before
         else:
@@ -212,13 +212,26 @@ def test_refinement_gains_on_a3():
     assert refined.argmax["refined"] and not refined.violated
 
 
+@pytest.mark.parametrize("tol", [1e-7, 0.0])
 @pytest.mark.parametrize("spec_text", A5_SPECS)
-def test_refined_a5_points_pass_the_recheck(spec_text):
-    # the polish aims at -tol/2, so its optimum clears the re-check at -tol
-    cfg = SearchConfig(samples=2000, seed=0)
-    rep = check_a5_system(parse_spec(spec_text), cfg)
+def test_refined_a5_points_pass_the_recheck(spec_text, tol, monkeypatch):
+    # the polish aims POLISH_MARGIN inside -tol, so no polished point lands just
+    # outside the re-check at -tol, also at tol = 0; a polish that stays far
+    # outside is another matter
+    margins = []
+    refine = oracle._refine
+
+    def recorded(spec, target_index, theta0, w0, m, config):
+        theta, w = refine(spec, target_index, theta0, w0, m, config)
+        _, q = oracle._system(spec, atom_moments(theta, w, m)[None, :])
+        margins.append(smallest_eigenvalue(tuple(q[0])) + config.tol_feasible)
+        return theta, w
+
+    monkeypatch.setattr(oracle, "_refine", recorded)
+    rep = check_a5_system(parse_spec(spec_text), SearchConfig(samples=2000, seed=0, tol_feasible=tol))
     assert rep.argmax["refined"]
-    assert smallest_eigenvalue(rep.argmax["q"]) >= -cfg.tol_feasible / 2 - 1e-12
+    assert smallest_eigenvalue(rep.argmax["q"]) >= -tol + oracle.POLISH_MARGIN / 2
+    assert len(margins) == 3 and not any(-1e-6 < g < 0 for g in margins)
 
 
 def test_no_feasible_sample_raises():
@@ -319,6 +332,22 @@ def test_nelder_mead_matches_scipy(fun, seed, maxiter):
     assert np.array_equal(res.x, ref.x) and res.fun == ref.fun
     assert (res.nfev, res.nit, res.success, res.status) == (ref.nfev, ref.nit, ref.success, ref.status)
     assert res.nfev == len(calls) and set(calls) == {list}
+
+
+@pytest.mark.parametrize("fsim", [
+    [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.35],  # a step: insert by bisection
+    [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.3],  # the new value ties
+    [0.0, 0.1, 0.1, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.35],  # an older tie
+    [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, math.nan],
+    [0.0, math.nan, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.35],
+    [1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0],  # after a shrink
+    [0.5, 0.0, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9, 1.0],
+])
+def test_simplex_order_is_numpys_argsort(fsim):
+    order = np.argsort(fsim).tolist()
+    sim, ordered = oracle._ordered([[k] for k in range(len(fsim))], list(fsim))
+    assert [v[0] for v in sim] == order
+    assert np.array_equal(ordered, [fsim[k] for k in order], equal_nan=True)
 
 
 def test_nelder_mead_covers_both_stops():
