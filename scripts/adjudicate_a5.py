@@ -1,7 +1,7 @@
 """Compare the competing fifth-coefficient bound variants against the oracle.
 
-For each parameter value the search maximizes |a5| over the relaxed
-feasible set and reports the margin to every variant.
+For each a5 class of the report grid the search maximizes |a5| over the
+relaxed feasible set and reports the margin to every variant.
 
 Usage: python3 scripts/adjudicate_a5.py [--samples N] [--seed S]
 """
@@ -9,6 +9,7 @@ Usage: python3 scripts/adjudicate_a5.py [--samples N] [--seed S]
 import argparse
 
 from bikoeff.classes import parse_spec
+from bikoeff.cli import REPORT_GRID
 from bikoeff.oracle import SearchConfig, check_a5_system
 
 
@@ -19,9 +20,7 @@ def main():
     args = ap.parse_args()
     cfg = SearchConfig(seed=args.seed, samples=args.samples, refine_top=2, refine_steps=60)
 
-    specs = [f"st:lambda=0:order:rho={r}" for r in ("0", "1/4", "1/2")]
-    specs += [f"ss:beta={b}" for b in ("1/2", "3/4", "1")]
-    for text in specs:
+    for text in (text for text, targets in REPORT_GRID if "a5" in targets):
         rep = check_a5_system(parse_spec(text), cfg)
         print(f"{rep.spec_text}: best |a5| = {rep.best_value:.8f} "
               f"({rep.feasible_count}/{rep.samples} feasible)")

@@ -54,18 +54,6 @@ class MindaGenerator:
             raise ValueError("normalization requires B1 > 0")
         object.__setattr__(self, "B", tuple(self.B))
 
-    @property
-    def B1(self):
-        return self.B[0]
-
-    @property
-    def B2(self):
-        return self.B[1]
-
-    @property
-    def B3(self):
-        return self.B[2]
-
     def series(self, order=DEFAULT_ORDER):
         """phi truncated at ``order``; exact if every coefficient is rational."""
         coeffs = [1] + list(self.B[:order])

@@ -198,8 +198,8 @@ def _target_report(spec: ClassSpec, target, config: SearchConfig):
 
 
 def verify_rows(spec: ClassSpec, targets, config: SearchConfig):
+    """(rows, witnesses): one row per bound variant, one witness per violated proven bound."""
     rows = []
-    violated_proven = False
     witnesses = []
     for target in targets:
         rep, branch, route = _target_report(spec, target, config)
@@ -216,9 +216,16 @@ def verify_rows(spec: ClassSpec, targets, config: SearchConfig):
                 "proven": v["proven"],
             })
         if rep.violated:
-            violated_proven = True
             witnesses.append(rep.argmax)
-    return rows, violated_proven, witnesses
+    return rows, witnesses
+
+
+def _emit_verdict(doc: ReportDocument, args, witnesses) -> int:
+    """Write the document, print every violation witness to stderr, and give the exit code."""
+    _emit(doc.render(args.format), args.out)
+    for w in witnesses:
+        print(f"violation witness: {w}", file=sys.stderr)
+    return EXIT_VIOLATION if witnesses else EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -228,14 +235,8 @@ def cmd_verify(args) -> int:
     else:
         targets = [args.target]
     config = _search_config(args)
-    rows, violated, witnesses = verify_rows(spec, targets, config)
-    doc = ReportDocument(spec.text(), rows, asdict(config))
-    _emit(doc.render(args.format), args.out)
-    if violated:
-        for w in witnesses:
-            print(f"violation witness: {w}", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    rows, witnesses = verify_rows(spec, targets, config)
+    return _emit_verdict(ReportDocument(spec.text(), rows, asdict(config)), args, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +355,15 @@ REPORT_GRID = (
 def cmd_report(args) -> int:
     config = _search_config(args)
     rows = []
-    violated = False
+    witnesses = []
     for text, targets in REPORT_GRID:
         spec = parse_spec(text)
-        sub, bad, _ = verify_rows(spec, targets, config)
+        sub, found = verify_rows(spec, targets, config)
         for row in sub:
             row["spec"] = spec.text()
         rows.extend(sub)
-        violated = violated or bad
-    doc = ReportDocument("acceptance-grid", rows, asdict(config))
-    _emit(doc.render(args.format), args.out)
-    return EXIT_VIOLATION if violated else EXIT_OK
+        witnesses.extend(found)
+    return _emit_verdict(ReportDocument("acceptance-grid", rows, asdict(config)), args, witnesses)
 
 
 # ---------------------------------------------------------------------------

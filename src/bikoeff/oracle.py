@@ -12,17 +12,19 @@ is not a function in the class: the p- and q-tuples are independent
 points of the truncated coefficient body, so the sample only refutes a
 proof that uses no more than those constraints.
 
-Coefficient solving here is a vectorized closed-form fast path; the
-generic series route in :mod:`bikoeff.classes` is the slow reference the
-tests compare against.  The same closed forms also take one row of
-Python scalars, which is how the refinement objective calls them: a
-one-row numpy array would pay array overhead on every operation of
-every evaluation.  For the same reason the refinement runs scipy's
-Nelder-Mead algorithm on Python floats (:func:`_nelder_mead`), and the
-objective calls ``eigvalsh`` only where a scalar Levinson test does not
-find the implied tuple admissible.  The polish aims POLISH_MARGIN inside
-the feasibility tolerance, so that the polished point passes the re-check
-at -tol.
+Coefficient solving here is one vectorized closed form for every class:
+the Schwarz function (p - 1)/(p + 1), then the generator phi, then the
+operator, solved order by order.  Order 3 gives a2..a4 and the implied
+(q1, q2, q3); order 4 adds a5 and q4.  The generic series route in
+:mod:`bikoeff.classes` is the slow reference the tests compare against.
+The same closed forms also take one row of Python scalars, which is how
+the refinement objective calls them: a one-row numpy array would pay
+array overhead on every operation of every evaluation.  For the same
+reason the refinement runs scipy's Nelder-Mead algorithm on Python
+floats (:func:`_nelder_mead`), and the objective calls ``eigvalsh`` only
+where a scalar Levinson test does not find the implied tuple admissible.
+The polish aims POLISH_MARGIN inside the feasibility tolerance, so that
+the polished point passes the re-check at -tol.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ class FastSpec(NamedTuple):
 
     operator: str
     lam: float
-    B: tuple  # (B1, B2, B3)
+    B: tuple  # (B1, B2, B3, B4); B4 = 0 for a generator given by B1..B3
     a5: tuple | None  # bounds.a5_family(spec)
 
 
@@ -136,15 +138,17 @@ def fast_spec(spec) -> FastSpec:
     """The :class:`FastSpec` of a ClassSpec; a FastSpec comes back as it is."""
     if isinstance(spec, FastSpec):
         return spec
-    return FastSpec(spec.operator, float(spec.lam),
-                    tuple(float(b) for b in spec.generator.B[:3]), a5_family(spec))
+    B = (*spec.generator.B, 0)[:4]  # MindaGenerator.series pads a missing B4 with 0
+    return FastSpec(spec.operator, float(spec.lam), tuple(float(b) for b in B), a5_family(spec))
 
 
-def _columns(p, m):
+def _columns(p):
     """p1..pm: the columns of an (..., m) array, or the entries of one row of scalars."""
     if isinstance(p, np.ndarray):
-        return [p[..., k] for k in range(m)]
-    return p[:m]
+        p = [p[..., k] for k in range(p.shape[-1])]
+    if len(p) not in (3, 4):
+        raise ValueError("the closed forms take (p1, p2, p3) or (p1, ..., p4)")
+    return p
 
 
 def _stack(entries):
@@ -154,26 +158,19 @@ def _stack(entries):
     return tuple(entries)
 
 
-def _schwarz(p1, p2, p3):
-    # series coefficients of (p-1)/(p+1)
+def solve_fast(spec: ClassSpec | FastSpec, p_stack):
+    """(a2, a3, a4) from stacked (p1, p2, p3) tuples, (a2, ..., a5) from (p1, ..., p4).
+
+    phi(u) = 1 + t1 z + t2 z^2 + ... for the Schwarz function
+    u = (p - 1)/(p + 1), and the operator's z^(n-1) coefficient, solved for
+    a_n, gives a_n.
+    """
+    operator, lam, (B1, B2, B3, B4), _ = fast_spec(spec)
+    p = _columns(p_stack)
+    p1, p2, p3 = p[:3]
     u1 = p1 / 2
     u2 = p2 / 2 - p1**2 / 4
     u3 = p3 / 2 - p1 * p2 / 2 + p1**3 / 8
-    return u1, u2, u3
-
-
-def _unschwarz(v1, v2, v3):
-    # inverse of _schwarz: coefficients of (1+2v+...)/(1-...) reassembled
-    q1 = 2 * v1
-    q2 = 2 * v2 + 2 * v1**2
-    q3 = 2 * v3 + 4 * v1 * v2 + 2 * v1**3
-    return q1, q2, q3
-
-
-def solve_fast(spec: ClassSpec | FastSpec, p_stack):
-    """(a2, a3, a4) from stacked (p1, p2, p3) tuples, closed form."""
-    operator, lam, (B1, B2, B3), _ = fast_spec(spec)
-    u1, u2, u3 = _schwarz(*_columns(p_stack, 3))
     t1 = B1 * u1
     t2 = B1 * u2 + B2 * u1**2
     t3 = B1 * u3 + 2 * B2 * u1 * u2 + B3 * u1**3
@@ -185,12 +182,28 @@ def solve_fast(spec: ClassSpec | FastSpec, p_stack):
         a2 = t1 / (1 + lam)
         a3 = (t2 + (1 + 3 * lam) * a2**2) / (2 * (1 + 2 * lam))
         a4 = (t3 + 3 * (1 + 5 * lam) * a2 * a3 - (1 + 7 * lam) * a2**3) / (3 * (1 + 3 * lam))
-    return a2, a3, a4
+    if len(p) == 3:
+        return a2, a3, a4
+    # order 4; x**4 is taken as (x**2)**2, which numpy does in a third of the time
+    p4 = p[3]
+    u4 = p4 / 2 - (2 * p1 * p3 + p2**2) / 4 + 3 * p1**2 * p2 / 8 - (p1**2)**2 / 16
+    t4 = B1 * u4 + B2 * (2 * u1 * u3 + u2**2) + 3 * B3 * u1**2 * u2 + B4 * (u1**2)**2
+    if operator == "st":
+        a5 = (t4 + (4 + 14 * lam) * a2 * a4 + (2 + 6 * lam) * a3**2
+              - (4 + 10 * lam) * a2**2 * a3 + (1 + 2 * lam) * (a2**2)**2) / (4 * (1 + 5 * lam))
+    else:
+        a5 = (t4 + (4 + 28 * lam) * a2 * a4 + (2 + 16 * lam) * a3**2
+              - (4 + 44 * lam) * a2**2 * a3 + (1 + 15 * lam) * (a2**2)**2) / (4 * (1 + 4 * lam))
+    return a2, a3, a4, a5
 
 
-def implied_q_fast(spec: ClassSpec | FastSpec, a2, a3, a4):
-    """Stacked (q1, q2, q3) forced by the inverse-function equations."""
-    operator, lam, (B1, B2, B3), _ = fast_spec(spec)
+def implied_q_fast(spec: ClassSpec | FastSpec, a2, a3, a4, a5=None):
+    """Stacked (q1, q2, q3), or (q1, ..., q4) given a5, forced by the inverse-function equations.
+
+    The operator applied to the inverse g of f has coefficients s_n; they
+    are phi(v) - 1 for a Schwarz function v, and q = 2v/(1 - v).
+    """
+    operator, lam, (B1, B2, B3, B4), _ = fast_spec(spec)
     if operator == "st":
         s1 = -(1 + 2 * lam) * a2
         s2 = -2 * (1 + 3 * lam) * a3 + (3 + 10 * lam) * a2**2
@@ -202,84 +215,36 @@ def implied_q_fast(spec: ClassSpec | FastSpec, a2, a3, a4):
     v1 = s1 / B1
     v2 = (s2 - B2 * v1**2) / B1
     v3 = (s3 - 2 * B2 * v1 * v2 - B3 * v1**3) / B1
-    return _stack(_unschwarz(v1, v2, v3))
-
-
-# -- order-4 chains for the fifth coefficient -------------------------------
-
-
-def _zf_over_f_inverse_chain(t1, t2, t3, t4):
-    # a_n from the coefficients t_n of z f'/f - 1
-    a2 = t1
-    a3 = (t2 + a2**2) / 2
-    a4 = (t3 + 3 * a2 * a3 - a2**3) / 3
-    a5 = (t4 + 4 * a2 * a4 + 2 * a3**2 - 4 * a2**2 * a3 + a2**4) / 4
-    return a2, a3, a4, a5
-
-
-def _zf_over_f_forward_chain(b2, b3, b4, b5):
-    # coefficients of z g'/g - 1 from the g-coefficients
-    t1 = b2
-    t2 = 2 * b3 - b2**2
-    t3 = 3 * b4 - 3 * b2 * b3 + b2**3
-    t4 = 4 * b5 - 4 * b2 * b4 - 2 * b3**2 + 4 * b2**2 * b3 - b2**4
-    return t1, t2, t3, t4
-
-
-def _invert_coeffs(a2, a3, a4, a5):
-    b2 = -a2
-    b3 = 2 * a2**2 - a3
-    b4 = -(5 * a2**3 - 5 * a2 * a3 + a4)
-    b5 = 14 * a2**4 - 21 * a2**2 * a3 + 3 * a3**2 + 6 * a2 * a4 - a5
-    return b2, b3, b4, b5
-
-
-def _log_chain(c1, c2, c3, c4):
-    s1 = c1
-    s2 = c2 - c1**2 / 2
-    s3 = c3 - c1 * c2 + c1**3 / 3
-    s4 = c4 - c1 * c3 - c2**2 / 2 + c1**2 * c2 - c1**4 / 4
-    return s1, s2, s3, s4
-
-
-def _exp_chain(s1, s2, s3, s4):
-    e1 = s1
-    e2 = s2 + s1**2 / 2
-    e3 = s3 + s1 * s2 + s1**3 / 6
-    e4 = s4 + s1 * s3 + s2**2 / 2 + s1**2 * s2 / 2 + s1**4 / 24
-    return e1, e2, e3, e4
-
-
-def _pow_chain(c1, c2, c3, c4, exponent):
-    # coefficients of (1 + c1 z + ...)**exponent - 1
-    s = _log_chain(c1, c2, c3, c4)
-    return _exp_chain(*(exponent * si for si in s))
+    q1 = 2 * v1
+    q2 = 2 * v2 + 2 * v1**2
+    q3 = 2 * v3 + 4 * v1 * v2 + 2 * v1**3
+    if a5 is None:
+        return _stack((q1, q2, q3))
+    if operator == "st":
+        s4 = (-4 * (1 + 5 * lam) * a5 + (20 + 106 * lam) * a2 * a4 + (10 + 54 * lam) * a3**2
+              - (60 + 336 * lam) * a2**2 * a3 + (35 + 204 * lam) * (a2**2)**2)
+    else:
+        s4 = (-4 * (1 + 4 * lam) * a5 + (20 + 68 * lam) * a2 * a4 + (10 + 32 * lam) * a3**2
+              - (60 + 176 * lam) * a2**2 * a3 + (35 + 93 * lam) * (a2**2)**2)
+    v4 = (s4 - B2 * (2 * v1 * v3 + v2**2) - 3 * B3 * v1**2 * v2 - B4 * (v1**2)**2) / B1
+    q4 = 2 * v4 + 4 * v1 * v3 + 2 * v2**2 + 6 * v1**2 * v2 + 2 * (v1**2)**2
+    return _stack((q1, q2, q3, q4))
 
 
 def a5_chain(spec: ClassSpec | FastSpec, p_stack):
-    """(a2..a5, implied (l1..l4)) for the classes :func:`bounds.a5_family` admits.
+    """(a2..a5, implied (q1..q4)) for the classes :func:`bounds.a5_family` admits.
 
-    Those are the z f'/f operator at lambda 0 with the half-plane
-    generator of order rho in [0, 1/2] (target rho + (1-rho) p) or the
-    strong generator of order beta in [1/2, 1] (target p**beta).
+    It is the :func:`bounds.a5_family` check plus the order-4
+    :func:`solve_fast` and :func:`implied_q_fast`, with no formula of its
+    own.  The name stays from the separate a5 derivation it replaced,
+    because the a5 search calls it by that name and the benchmark's span
+    tracer (``bench/spans.py``) wraps it there to time the a5 system.
     """
-    family = fast_spec(spec).a5
-    if family is None:
+    fast = fast_spec(spec)
+    if fast.a5 is None:
         raise OracleError(A5_UNAVAILABLE)
-    fam, param = family
-    c = _columns(p_stack, 4)
-    if fam == "order":
-        x = 1.0 - param
-        t = [x * ck for ck in c]
-    else:
-        t = list(_pow_chain(*c, param))
-    a2, a3, a4, a5 = _zf_over_f_inverse_chain(*t)
-    tau = _zf_over_f_forward_chain(*_invert_coeffs(a2, a3, a4, a5))
-    if fam == "order":
-        l = [tk / x for tk in tau]
-    else:
-        l = list(_exp_chain(*((si / param) for si in _log_chain(*tau))))
-    return (a2, a3, a4, a5), _stack(l)
+    coeffs = solve_fast(fast, p_stack)
+    return coeffs, implied_q_fast(fast, *coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +252,18 @@ def a5_chain(spec: ClassSpec | FastSpec, p_stack):
 # ---------------------------------------------------------------------------
 
 
-def _moments_scalar(theta, w, m):
-    """:func:`caratheodory.atom_moments` for lists of floats, in scalar arithmetic."""
+def _moments_scalar(theta, w, m, real=False):
+    """:func:`caratheodory.atom_moments` for lists of floats, in scalar arithmetic.
+
+    ``real`` keeps the real parts only, as the sampler does for a real-flagged sample.
+    """
     p = []
     for n in range(1, m + 1):
         re = im = 0.0
         for t, wk in zip(theta, w):
             re += wk * math.cos(n * t)
-            im -= wk * math.sin(n * t)
+            if not real:
+                im -= wk * math.sin(n * t)
         p.append(complex(2.0 * re, 2.0 * im))
     return p
 
@@ -310,13 +279,14 @@ def _system(spec, p):
     return (a2, a3, a4), implied_q_fast(spec, a2, a3, a4)
 
 
-def _objective(spec, target_index, K, m, tol):
+def _objective(spec, target_index, K, m, tol, real=False):
     """Refinement objective at x = [K angles, K raw weights], a list of floats.
 
     -|a_target| plus a penalty of 1e4 per unit by which lambda_min of the
     implied tuple's Toeplitz matrix falls below -tol.  Where T + tol I passes
     the scalar Levinson test there is no penalty; only the other points pay
-    for ``eigvalsh``, which sizes it.
+    for ``eigvalsh``, which sizes it.  With ``real`` the moments keep only
+    their real parts.
     """
     fast = fast_spec(spec)
     r0 = 2.0 + tol
@@ -324,7 +294,7 @@ def _objective(spec, target_index, K, m, tol):
     def objective(x):
         w = [abs(v) + 1e-12 for v in x[K:]]
         total = sum(w)
-        coeffs, q = _system(fast, _moments_scalar(x[:K], [v / total for v in w], m))
+        coeffs, q = _system(fast, _moments_scalar(x[:K], [v / total for v in w], m, real))
         value = -abs(coeffs[target_index])
         if _positive_scalar(q, r0):
             return value
@@ -423,8 +393,11 @@ def _nelder_mead(fun, x0, args=(), *, maxiter, xatol=1e-4, fatol=1e-4, **_):
                           status=status, success=status == 0)
 
 
-def _refine(spec, target_index, theta0, w0, m, config):
+def _refine(spec, target_index, theta0, w0, m, config, real):
     """Polish one candidate measure by penalized simplex search.
+
+    A ``real`` candidate is the real part of its atoms' moments, and so is
+    every point the polish scores.
 
     The simplex is scipy's Nelder-Mead run on Python floats
     (:func:`_nelder_mead`).  The objective aims at lambda_min >= -tol +
@@ -433,7 +406,7 @@ def _refine(spec, target_index, theta0, w0, m, config):
     the full -tol.
     """
     K = len(theta0)
-    objective = _objective(spec, target_index, K, m, config.tol_feasible - POLISH_MARGIN)
+    objective = _objective(spec, target_index, K, m, config.tol_feasible - POLISH_MARGIN, real)
     x0 = np.concatenate([theta0, w0])
     res = minimize(objective, x0, method=_nelder_mead,
                    options={"maxiter": config.refine_steps * len(x0), "xatol": 1e-10, "fatol": 1e-12})
@@ -446,12 +419,13 @@ def _refine(spec, target_index, theta0, w0, m, config):
 def _search(spec, target_index, config):
     """Largest feasible |a_(target_index + 2)|: (best_value, feasible_count, argmax).
 
-    a2..a4 come from one order-3 system whose implied tuple is checked in
-    full; a5 needs the order-4 chain.
+    a2..a4 come from the order-3 system and a5 from the order-4 one.  A
+    polished real-flagged sample keeps the real parts of its moments, which
+    are the moments of its symmetrised atoms (theta, w/2), (-theta, w/2).
     """
     m = 4 if target_index == 3 else 3
     sampler = MeasureSampler(config.seed, config.max_atoms, config.restrict_real)
-    p, (angles, weights, _) = sampler.moments(config.samples, m)
+    p, (angles, weights, real_flags) = sampler.moments(config.samples, m)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # non-finite rows fail admissible_mask
         coeffs, q = _system(spec, p)
@@ -472,8 +446,12 @@ def _search(spec, target_index, config):
     for i in order:
         if not feasible[i]:
             continue
-        theta, w = _refine(spec, target_index, angles[i], weights[i], m, config)
+        real = bool(real_flags[i])
+        theta, w = _refine(spec, target_index, angles[i], weights[i], m, config, real)
         p_ref = atom_moments(theta, w, m)
+        if real:
+            p_ref.imag = 0.0
+            theta, w = np.concatenate([theta, -theta]), np.concatenate([w, w]) / 2
         coeffs_ref, q_ref = _system(spec, p_ref[None, :])
         ok = smallest_eigenvalue(tuple(q_ref[0])) >= -config.tol_feasible
         value = abs(complex(coeffs_ref[target_index][0]))

@@ -404,3 +404,9 @@ def test_report_grid_small(capsys):
     assert len(specs) == 21  # 18 operator grid + 3 strong a5 (order a5 overlaps)
     assert len(doc["rows"]) == 18 * 3 + 6 * 2
     assert all(not row["violated"] for row in doc["rows"] if row["proven"])
+
+
+def test_report_violation_prints_witnesses(capsys, tiny_bounds):
+    code, _, err = run(capsys, "report", "--samples", "150", "--refine-top", "0")
+    assert code == 2
+    assert "witness" in err

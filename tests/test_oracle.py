@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -33,18 +34,19 @@ SPECS = (
 # -- closed-form fast path vs generic series route ---------------------------
 
 
-@pytest.mark.parametrize("spec_text", SPECS)
+@pytest.mark.parametrize("spec_text", SPECS + ("st:lambda=1/2:custom:B1=1,B2=1/2,B3=1/4",))
 def test_fast_path_matches_generic(spec_text):
+    # order 4 takes a5 as well, for every class; a custom generator has B4 = 0
     spec = parse_spec(spec_text)
-    for seed in range(8):
-        p = sample(seed, 3)
+    for m, seed in itertools.product((3, 4), range(8)):
+        p = sample(seed, m)
         a = solve_coefficients(spec, p.entries)
         q = implied_q(spec, a)
-        a2, a3, a4 = solve_fast(spec, np.array([p.entries]))
-        qf = implied_q_fast(spec, a2, a3, a4)[0]
-        assert abs(a2[0] - complex(a.a2)) < 1e-11
-        assert abs(a3[0] - complex(a.a3)) < 1e-11
-        assert abs(a4[0] - complex(a.a4)) < 1e-11
+        fast = solve_fast(spec, np.array([p.entries]))
+        qf = implied_q_fast(spec, *fast)[0]
+        exact = (a.a2, a.a3, a.a4, a.a5)[:m]
+        assert len(fast) == len(qf) == len(q) == m
+        assert all(abs(x[0] - complex(y)) < 1e-11 for x, y in zip(fast, exact))
         assert all(abs(x - complex(y)) < 1e-10 for x, y in zip(qf, q))
 
 
@@ -221,9 +223,12 @@ def test_refined_a5_points_pass_the_recheck(spec_text, tol, monkeypatch):
     margins = []
     refine = oracle._refine
 
-    def recorded(spec, target_index, theta0, w0, m, config):
-        theta, w = refine(spec, target_index, theta0, w0, m, config)
-        _, q = oracle._system(spec, atom_moments(theta, w, m)[None, :])
+    def recorded(spec, target_index, theta0, w0, m, config, real):
+        theta, w = refine(spec, target_index, theta0, w0, m, config, real)
+        p = atom_moments(theta, w, m)
+        if real:
+            p.imag = 0.0
+        _, q = oracle._system(spec, p[None, :])
         margins.append(smallest_eigenvalue(tuple(q[0])) + config.tol_feasible)
         return theta, w
 
@@ -232,6 +237,29 @@ def test_refined_a5_points_pass_the_recheck(spec_text, tol, monkeypatch):
     assert rep.argmax["refined"]
     assert smallest_eigenvalue(rep.argmax["q"]) >= -tol + oracle.POLISH_MARGIN / 2
     assert len(margins) == 3 and not any(-1e-6 < g < 0 for g in margins)
+
+
+def test_real_flagged_start_is_scored_as_its_candidate(monkeypatch):
+    # the sampler keeps the real parts of a real-flagged sample's moments, so
+    # the polish must too: its start then scores what the search ranked
+    spec = parse_spec("st:lambda=0:order:rho=0")
+    config = SearchConfig(seed=0, samples=2000, refine_top=1, refine_steps=1)
+    p, (_, _, real_flags) = MeasureSampler(0).moments(2000, 3)
+    coeffs, q = oracle._system(spec, p)
+    values = np.where(caratheodory.admissible_mask(q, config.tol_feasible), np.abs(coeffs[0]), -np.inf)
+    assert real_flags[np.argmax(values)]
+    starts = []
+
+    def first_score(fun, x0, **kwargs):
+        starts.append(fun(list(x0)))
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(oracle, "minimize", first_score)
+    rep = max_coeff(spec, "a2", config)
+    assert starts == [pytest.approx(-values.max(), rel=1e-10)]  # the objective adds 1e-12 to each weight
+    # the witness holds the symmetrised atoms, whose moments are the real p
+    assert rep.argmax["refined"] and all(e.imag == 0 for e in rep.argmax["p"])
+    assert_rows_close(atom_moments(*np.array(rep.argmax["atoms"]).T, 3), rep.argmax["p"])
 
 
 def test_no_feasible_sample_raises():
