@@ -8,6 +8,7 @@ Usage: python3 scripts/bound_curves.py [--outdir DIR] [--points N]
 
 import argparse
 import pathlib
+import sys
 
 from bikoeff.cli import main as cli_main
 
@@ -30,7 +31,8 @@ def main():
         path = outdir / name
         code = cli_main(["sweep", template, "--param", param, "--range", rng,
                          "--coeffs", coeffs, "--out", str(path)])
-        assert code == 0
+        if code != 0:
+            sys.exit(f"job {name} failed with exit code {code}")
         print(f"wrote {path}")
 
 

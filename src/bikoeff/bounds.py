@@ -39,8 +39,10 @@ class BoundBreakdown:
     constants: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (self.value >= 0 and math.isfinite(self.value)):
-            raise ValueError(f"bound value must be finite and nonnegative, got {self.value}")
+        if not math.isfinite(self.value):
+            raise DegenerateBoundError(f"bound formula is not finite for this class (got {self.value})")
+        if not self.value >= 0:
+            raise ValueError(f"bound value must be nonnegative, got {self.value}")
 
 
 def _min_breakdown(r1, r2, branch, constants):

@@ -14,6 +14,7 @@ closed forms live in the test fixtures and in the oracle's fast path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -24,7 +25,6 @@ from .series import (
     SeriesError,
     compose,
     mobius_to_disk,
-    pow_real,
     revert,
 )
 
@@ -55,8 +55,15 @@ class MindaGenerator:
         object.__setattr__(self, "B", tuple(self.B))
 
     def series(self, order=DEFAULT_ORDER):
-        """phi truncated at ``order``; exact if every coefficient is rational."""
-        coeffs = [1] + list(self.B[:order])
+        """phi truncated at ``order``; exact if every coefficient is rational.
+
+        A named family is rebuilt by its rule past the stored coefficients;
+        a custom generator's coefficients past B3 are 0.
+        """
+        B = self.B
+        if order > len(B) and self.family != "custom":
+            B = _FAMILIES[self.family](**self.params, K=order).B
+        coeffs = [1] + list(B[:order])
         if len(coeffs) < order + 1:
             coeffs += [0] * (order + 1 - len(coeffs))
         if all(isinstance(c, (int, Rational)) for c in coeffs):
@@ -83,20 +90,19 @@ def order_coeffs(rho, K=DEFAULT_ORDER) -> MindaGenerator:
 def strong_coeffs(beta, K=DEFAULT_ORDER) -> MindaGenerator:
     """Generator ((1+z)/(1-z))^beta for 0 < beta <= 1.
 
-    B1, B2, B3 come from the closed forms 2b, 2b^2, (4b^3+2b)/3; higher
-    coefficients are filled in by the formal power series of the base.
+    (1 - z^2) phi' = 2 beta phi gives (n+1) B_{n+1} = 2 beta B_n + (n-1) B_{n-1}
+    from B0 = 1, B1 = 2 beta; exact at every order for rational beta.
     """
     if not (0 < beta <= 1):
         raise ValueError("strong parameter requires 0 < beta <= 1")
-    b = beta
-    coeffs = [2 * b, 2 * b * b, (4 * b**3 + 2 * b) / (Fraction(3) if isinstance(b, (int, Rational)) else 3)]
-    if K > 3:
-        base = TruncatedSeries([1.0, 1.0] + [0.0] * (K - 1), K) / TruncatedSeries(
-            [1.0, -1.0] + [0.0] * (K - 1), K
-        )
-        expanded = pow_real(base, float(beta))
-        coeffs += [expanded.coeffs[n].real for n in range(4, K + 1)]
-    return MindaGenerator(tuple(coeffs[:K]), "strong", {"beta": beta})
+    b = Fraction(beta) if isinstance(beta, Rational) else beta
+    coeffs = [1, 2 * b]
+    for n in range(1, K):
+        coeffs.append((2 * b * coeffs[n] + (n - 1) * coeffs[n - 1]) / (n + 1))
+    return MindaGenerator(tuple(coeffs[1 : K + 1]), "strong", {"beta": beta})
+
+
+_FAMILIES = {"janowski": janowski_coeffs, "order": order_coeffs, "strong": strong_coeffs}
 
 
 @dataclass(frozen=True)
@@ -141,13 +147,16 @@ def _fmt_num(x):
 
 
 def _parse_num(text):
-    """Numbers as decimals or exact fractions p/q; fractions stay exact."""
+    """Finite numbers as decimals or exact fractions p/q; fractions stay exact."""
     text = text.strip()
     try:
         if "/" in text:
             return Fraction(text)
         if "." in text or "e" in text.lower():
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError
+            return value
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecParseError(f"bad number {text!r}") from exc
@@ -181,6 +190,15 @@ def parse_spec(text: str) -> ClassSpec:
                 raise SpecParseError(f"unexpected segment {tok!r}")
             fam = tok.lower()
 
+    try:
+        return _build_spec(head, fam, kv)
+    except SpecParseError:
+        raise
+    except ValueError as exc:  # generator or ClassSpec validation
+        raise SpecParseError(str(exc)) from exc
+
+
+def _build_spec(head, fam, kv) -> ClassSpec:
     def take(key):
         if key not in kv:
             raise SpecParseError(f"missing key {key!r}")
@@ -290,25 +308,17 @@ def solve_coefficients(spec: ClassSpec, p) -> CoefficientVector:
 
 
 def implied_q(spec: ClassSpec, a: CoefficientVector):
-    """The unique (q1, ..., qm) making the inverse-function equations hold."""
-    f = a.as_series()
-    g = revert(f)
-    target = apply_operator(spec, g)
-    m = target.order
-    phi = spec.generator.series(m)
+    """The unique (q1, ..., qm) making the inverse-function equations hold.
+
+    The operator of the inverse function g equals phi(w) for the Schwarz
+    function w = (q - 1)/(q + 1).  With psi = (phi - 1)/B1, normalized since
+    B1 > 0, w = revert(psi)((target - 1)/B1) and q = (1 + w)/(1 - w).
+    """
+    target = apply_operator(spec, revert(a.as_series()))
+    phi = spec.generator.series(target.order)
     if phi.scalar_kind != target.scalar_kind and "object" not in (phi.scalar_kind, target.scalar_kind):
         phi = phi.as_float()
-        target = target.as_float() if target.scalar_kind != "float" else target
-    zero = target.coeffs[0] * 0
-    one = zero + 1
-    q = [zero] * m
-    for n in range(1, m + 1):
-        base = compose(phi, mobius_to_disk(TruncatedSeries([one] + q, m)))
-        probe_q = list(q)
-        probe_q[n - 1] = probe_q[n - 1] + one
-        probe = compose(phi, mobius_to_disk(TruncatedSeries([one] + probe_q, m)))
-        pivot = probe.coeffs[n] - base.coeffs[n]
-        if pivot == 0:  # pivot is B1/2 > 0
-            raise ZeroPivotError(f"zero pivot solving q{n} for {spec.text()}")
-        q[n - 1] = q[n - 1] + (target.coeffs[n] - base.coeffs[n]) / pivot
-    return tuple(q)
+        target = target.as_float()
+    B1 = phi.coeffs[1]
+    w = compose(revert((phi - 1) / B1), (target - 1) / B1)
+    return ((1 + w) / (1 - w)).coeffs[1:]

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .bounds import (
     A5_UNAVAILABLE,
+    DegenerateBoundError,
     SS_BETA_A5_VARIANTS,
     ST_RHO_A5_VARIANTS,
     a5_family,
@@ -142,7 +143,7 @@ def _a5_rows(spec: ClassSpec):
 def bounds_rows(spec: ClassSpec, coeffs):
     rows = []
     targets = [c for c in coeffs if c != "a5"]
-    # a DegenerateBoundError is a ValueError, which main reports as exit 1
+    # a DegenerateBoundError is a user-facing error: main reports it as exit 1
     breakdowns = class_bounds(spec) if targets else ()
     for name in targets:
         b = breakdowns[TARGETS.index(name)]
@@ -185,7 +186,10 @@ def _parse_coeffs(text):
 
 
 def _search_config(args) -> SearchConfig:
-    return SearchConfig(**{f.name: getattr(args, f.name) for f in fields(SearchConfig)})
+    try:
+        return SearchConfig(**{f.name: getattr(args, f.name) for f in fields(SearchConfig)})
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _target_report(spec: ClassSpec, target, config: SearchConfig):
@@ -271,6 +275,8 @@ def cmd_expand(args) -> int:
 
     spec = parse_spec(args.spec)
     order = args.order
+    if order < 1:
+        raise CliError("--order must be >= 1")
     if args.what == "generator":
         out = _series_text(spec.generator.series(order))
     elif args.what == "operator":
@@ -373,8 +379,11 @@ def cmd_report(args) -> int:
 
 def _emit(text: str, out):
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write output: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -510,7 +519,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _apply_defaults(args)
         return args.func(args)
-    except (CliError, SpecParseError, OracleError, ValueError) as exc:
+    except (CliError, SpecParseError, OracleError, DegenerateBoundError) as exc:
         print(f"bikoeff: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:

@@ -36,7 +36,7 @@ from operator import add, lt
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import OptimizeResult, least_squares, minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from .bounds import (
     A5_UNAVAILABLE,
@@ -67,6 +67,10 @@ TARGETS = ("a2", "a3", "a4")
 # optimum overshoots the lambda_min it aims at by up to 1.6e-9 (report grid,
 # seeds 0-3).
 POLISH_MARGIN = 1e-8
+# Measure recovery: a prediction error within BOUNDARY_ERR of zero marks a
+# boundary tuple, and a fitted measure must reproduce every moment to FIT_TOL.
+BOUNDARY_ERR = 1e-12
+FIT_TOL = 1e-10
 
 
 class OracleError(RuntimeError):
@@ -91,6 +95,8 @@ class SearchConfig:
             raise ValueError("refine_top must be >= 0")
         if self.refine_steps < 0:
             raise ValueError("refine_steps must be >= 0")
+        if self.max_atoms < 1:
+            raise ValueError("max_atoms must be >= 1")
         if not all(math.isfinite(t) and t >= 0 for t in (self.tol_feasible, self.tol_violation)):
             raise ValueError("tolerances must be finite and >= 0")
 
@@ -515,46 +521,48 @@ def check_a5_system(spec: ClassSpec, config: SearchConfig = SearchConfig()) -> O
 # ---------------------------------------------------------------------------
 
 
-def fit_atoms(p, max_atoms: int = None, seed: int = 0, tol: float = 1e-10) -> AtomicMeasure:
-    """Recover an atomic measure whose moments reproduce the tuple.
+def fit_atoms(p) -> AtomicMeasure:
+    """The atomic measure whose moments are the tuple, built by the Szego recursion.
 
-    Least squares over (angles, weights) with the weight-sum constraint in
-    the residual; multi-start.  Raises :class:`OracleError` when no start
-    converges, which for tuples outside the body it must.
+    The Levinson-Durbin recursion on c_n = p_n / 2 (c_0 = 1) yields the
+    reflection coefficients kappa_0, ..., kappa_{m-1} and the predictor
+    polynomials A_1, ..., A_m, A_{k+1} of degree k + 1 from kappa_k.  The
+    first kappa_k of modulus 1, i.e. a prediction error of zero up to
+    BOUNDARY_ERR, marks a boundary tuple, which is carried by the k + 1
+    roots of A_{k+1}.  An interior tuple is closed with kappa_m = 1: that
+    paraorthogonal polynomial has m + 1 simple roots on the circle.  The
+    N roots are the z_j = e^{-i theta_j}, and one Vandermonde solve on
+    c_0, ..., c_{N-1} gives the weights.  Raises :class:`OracleError` when
+    a reflection coefficient exceeds modulus 1 (the tuple lies outside the
+    body) or when the moments miss by FIT_TOL or more.
     """
-    entries = np.asarray([complex(e) for e in (p.entries if isinstance(p, CaratheodoryTuple) else p)])
+    entries = [complex(e) for e in (p.entries if isinstance(p, CaratheodoryTuple) else p)]
     m = len(entries)
-    K = max_atoms if max_atoms is not None else m + 1
-    rng = np.random.default_rng(seed)
-
-    def residual(x):
-        w = x[K:]
-        diff = atom_moments(x[:K], w, m) - entries
-        return np.concatenate([diff.real, diff.imag, [w.sum() - 1.0]])
-
-    best = None
-    for _ in range(12):
-        theta0 = rng.uniform(0, 2 * np.pi, K)
-        w0 = rng.dirichlet(np.ones(K))
-        res = least_squares(
-            residual,
-            np.concatenate([theta0, w0]),
-            bounds=(np.concatenate([np.full(K, -np.inf), np.zeros(K)]),
-                    np.concatenate([np.full(K, np.inf), np.ones(K)])),
-            method="trf",
-            xtol=1e-15, ftol=1e-15, gtol=1e-15,
-        )
-        cost = math.sqrt(2 * res.cost)
-        if best is None or cost < best[0]:
-            best = (cost, res.x)
-        if cost < tol:
+    r = [1.0] + [e.conjugate() / 2 for e in entries]
+    err = 1.0
+    a = []
+    for k in range(m + 1):
+        kappa = -(r[k + 1] + sum(a[j] * r[k - j] for j in range(k))) / err if k < m else 1.0
+        mod = abs(kappa)
+        err *= 1.0 - mod * mod
+        if err < -BOUNDARY_ERR:
+            raise OracleError(f"tuple lies outside the coefficient body (reflection coefficient {mod:.6g})")
+        closing = err <= BOUNDARY_ERR
+        if closing:
+            kappa /= mod
+        a = [a[j] + kappa * a[k - 1 - j].conjugate() for j in range(k)] + [kappa]
+        if closing:
             break
-    cost, x = best
-    if cost >= tol:
-        raise OracleError(f"no atomic measure found (residual {cost:.3e})")
-    w = np.clip(x[K:], 0, None)
-    w = w / w.sum()
-    return AtomicMeasure(tuple((float(t) % (2 * math.pi), float(wk)) for t, wk in zip(x[:K], w)))
+    z = np.roots([*a[::-1], 1.0])
+    z /= np.abs(z)
+    w = np.linalg.solve(np.vander(z, increasing=True).T, np.conj(r[: len(z)])).real
+    w = np.clip(w, 0.0, None)
+    w /= w.sum()
+    theta = -np.angle(z) % (2 * math.pi)
+    residual = float(np.max(np.abs(atom_moments(theta, w, m) - entries)))
+    if not residual < FIT_TOL:
+        raise OracleError(f"no atomic measure reproduces the tuple (residual {residual:.3e})")
+    return AtomicMeasure(tuple(zip(theta.tolist(), w.tolist())))
 
 
 def fit_residual(mu: AtomicMeasure, p) -> float:

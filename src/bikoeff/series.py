@@ -106,11 +106,6 @@ class TruncatedSeries:
         return cls([z] * (order + 1), order)
 
     @classmethod
-    def one(cls, order, kind="exact"):
-        s = cls.zero(order, kind)
-        return s._replace(0, 1)
-
-    @classmethod
     def identity(cls, order, kind="exact"):
         """The series ``z``."""
         s = cls.zero(order, kind)
@@ -254,57 +249,6 @@ def revert(f: TruncatedSeries) -> TruncatedSeries:
             break
         g = g - residual / compose(fprime, g)
     return g
-
-
-def _one_over(k, kind):
-    return Fraction(1, k) if kind == "exact" else 1.0 / k
-
-
-def _log1p_series(u: TruncatedSeries) -> TruncatedSeries:
-    # log(1+u) for u with zero constant term
-    acc = u * 0
-    power = u
-    for k in range(1, u.order + 1):
-        term = power * _one_over(k, u.scalar_kind)
-        acc = acc + (term if k % 2 == 1 else -term)
-        if k < u.order:
-            power = power * u
-    return acc
-
-
-def _exp_series(v: TruncatedSeries) -> TruncatedSeries:
-    # exp(v) for v with zero constant term
-    one = v * 0 + 1
-    acc = one
-    term = one
-    for k in range(1, v.order + 1):
-        term = term * v * _one_over(k, v.scalar_kind)
-        acc = acc + term
-    return acc
-
-
-def pow_real(base: TruncatedSeries, exponent) -> TruncatedSeries:
-    """base**exponent via formal exp(exponent * log(base)); base must have constant term 1.
-
-    Exact-rational input stays exact only for integer exponents; otherwise
-    it is promoted to the float backend.
-    """
-    if base.coeffs[0] != 1:
-        raise SeriesError("pow_real requires constant term 1")
-    is_int = isinstance(exponent, (int, Rational)) and Fraction(exponent).denominator == 1
-    if base.scalar_kind == "exact" and is_int:
-        n = int(exponent)
-        result = TruncatedSeries.one(base.order, "exact")
-        b = base if n >= 0 else result / base
-        for _ in range(abs(n)):
-            result = result * b
-        return result
-    if base.scalar_kind == "exact":
-        base = base.as_float()
-    if base.scalar_kind == "float" and isinstance(exponent, Rational):
-        exponent = float(exponent)
-    logs = _log1p_series(base - 1)
-    return _exp_series(logs * exponent)
 
 
 def mobius_to_disk(p: TruncatedSeries) -> TruncatedSeries:

@@ -53,17 +53,45 @@ def test_strong_generator_exact_low_coefficients():
     assert gen.B[:3] == (Fraction(2, 3), Fraction(2, 9), Fraction(22, 81))
 
 
+def _strong_reference(beta, K):
+    """B1..BK of (1+z)^beta (1-z)^-beta from the generalized binomial series."""
+    def binomials(x):
+        out = [x ** 0]
+        for k in range(1, K + 1):
+            out.append(out[-1] * (x - k + 1) / k)
+        return out
+
+    plus = binomials(beta)  # (1+z)^beta
+    minus = [c * (-1) ** k for k, c in enumerate(binomials(-beta))]  # (1-z)^-beta
+    return [sum(plus[j] * minus[n - j] for j in range(n + 1)) for n in range(1, K + 1)]
+
+
 def test_strong_generator_matches_power_series():
-    import math
+    gen = strong_coeffs(0.37, K=8)
+    for b, ref in zip(gen.B, _strong_reference(0.37, 8)):
+        assert abs(b - ref) < 1e-12
 
-    beta = 0.37
-    gen = strong_coeffs(beta, K=5)
-    from bikoeff.series import pow_real
 
-    base = TruncatedSeries([1.0, 1.0], 5) / TruncatedSeries([1.0, -1.0], 5)
-    ref = pow_real(base, beta)
-    for n in range(1, 6):
-        assert abs(complex(gen.B[n - 1]) - ref.coeffs[n]) < 1e-12
+def test_strong_generator_exact_for_rational_beta():
+    gen = strong_coeffs(Fraction(3, 4), K=6)
+    assert all(type(b) is Fraction for b in gen.B)
+    assert list(gen.B) == _strong_reference(Fraction(3, 4), 6)
+    assert gen.B[3:] == (Fraction(123, 128), Fraction(237, 256), Fraction(893, 1024))
+    assert strong_coeffs(1).B == (2, 2, 2, 2, 2, 2)
+
+
+@pytest.mark.parametrize("text", ["st:lambda=0:janowski:A=1/2,B=-1/3", "m:lambda=1:order:rho=1/4",
+                                  "ss:beta=3/4", "st:lambda=0:strong:beta=0.6"])
+def test_named_generator_series_follows_its_rule_past_b6(text):
+    gen = parse_spec(text).generator
+    rule = {"janowski": janowski_coeffs, "order": order_coeffs, "strong": strong_coeffs}[gen.family]
+    assert len(gen.B) == 6
+    assert gen.series(9) == MindaGenerator(rule(**gen.params, K=9).B).series(9)
+
+
+def test_custom_generator_series_pads_with_zeros():
+    gen = parse_spec("st:lambda=0:custom:B1=1,B2=1/2,B3=1/4").generator
+    assert gen.series(8).coeffs[4:] == (0,) * 5
 
 
 def test_generator_validation():
@@ -120,6 +148,19 @@ def test_parse_ss_shorthand():
 def test_parse_errors(bad):
     with pytest.raises(SpecParseError):
         parse_spec(bad)
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("st:lambda=0:janowski:A=1,B=2", "-1 <= B < A <= 1"),
+    ("st:lambda=0:custom:B1=-1,B2=0,B3=0", "B1 > 0"),
+    ("st:lambda=-1:order:rho=0", "lambda must be >= 0"),
+    ("st:lambda=0:order:rho=1", "0 <= rho < 1"),
+    ("ss:beta=2", "0 < beta <= 1"),
+])
+def test_parse_reports_validation_errors_as_parse_errors(bad, message):
+    with pytest.raises(SpecParseError) as info:
+        parse_spec(bad)
+    assert message in str(info.value)
 
 
 # -- operator expansions against the closed-form left-hand sides -------------
@@ -247,14 +288,4 @@ def test_zero_pivot_in_forward_solve_raises(monkeypatch):
     monkeypatch.setattr(classes, "apply_operator", lambda spec, f: frozen)
     with pytest.raises(ZeroPivotError) as info:
         solve_coefficients(spec, (Fraction(1), Fraction(0), Fraction(0)))
-    assert not isinstance(info.value, ValueError)
-
-
-def test_zero_pivot_in_implied_q_raises(monkeypatch):
-    spec = parse_spec("st:lambda=0:order:rho=0")
-    a = solve_coefficients(spec, (Fraction(1), Fraction(0), Fraction(0)))
-    frozen = TruncatedSeries([Fraction(1)] + [Fraction(0)] * 3, 3)
-    monkeypatch.setattr(classes, "compose", lambda outer, inner: frozen)
-    with pytest.raises(ZeroPivotError) as info:
-        implied_q(spec, a)
     assert not isinstance(info.value, ValueError)

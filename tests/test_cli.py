@@ -96,6 +96,31 @@ def test_overflowing_implied_tuples_exit_one_without_warnings(capsys):
     assert err.count("\n") == 1 and "implied tuples overflow" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("bounds", "st:lambda=0:janowski:A=1,B=2"), "-1 <= B < A <= 1"),
+    (("bounds", "st:lambda=0:custom:B1=-1,B2=1,B3=1"), "B1 > 0"),
+    (("bounds", "st:lambda=1e400:order:rho=0"), "bad number '1e400'"),
+    (("bounds", "st:lambda=1e308:order:rho=0"), "not finite"),
+    (("verify", "st:lambda=0:order:rho=0", "--max-atoms", "0"), "max_atoms must be >= 1"),
+    (("bounds", "st:lambda=0:order:rho=0", "--out", "{missing}"), "cannot write output"),
+])
+def test_user_input_errors_exit_one(capsys, tmp_path, argv, message):
+    argv = [a.replace("{missing}", str(tmp_path / "missing" / "out.txt")) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.count("\n") == 1 and message in err
+
+
+def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise ValueError("internal boom")
+
+    monkeypatch.setattr(oracle, "solve_fast", boom)
+    with pytest.raises(ValueError, match="internal boom"):
+        main(["verify", "st:lambda=0:order:rho=0", "--target", "a2", "--samples", "100"])
+    assert capsys.readouterr().err == ""
+
+
 # -- bounds output -----------------------------------------------------------
 
 
@@ -335,6 +360,20 @@ def test_expand_generator(capsys):
 def test_expand_generator_order_zero_rho(capsys):
     _, out, _ = run(capsys, "expand", "st:lambda=0:order:rho=0", "--what", "generator")
     assert out.strip() == "1 + 2 z + 2 z^2 + 2 z^3"
+
+
+def test_expand_generator_past_b6(capsys):
+    _, out, _ = run(capsys, "expand", "st:lambda=0:order:rho=0", "--what", "generator", "--order", "8")
+    assert out.strip() == "1 + " + " + ".join(["2 z"] + [f"2 z^{n}" for n in range(2, 9)])
+    _, out, _ = run(capsys, "expand", "ss:beta=3/4", "--what", "generator", "--order", "7")
+    assert out.strip().endswith("(123/128) z^4 + (237/256) z^5 + (893/1024) z^6 + (1737/2048) z^7")
+
+
+@pytest.mark.parametrize("order", ["0", "-2"])
+def test_expand_rejects_order_below_one(capsys, order):
+    code, out, err = run(capsys, "expand", "ss:beta=1/2", "--what", "inverse", "--order", order)
+    assert code == 1 and out == ""
+    assert "--order must be >= 1" in err
 
 
 def test_expand_inverse_polynomials(capsys):

@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 from bikoeff import caratheodory, oracle
 from bikoeff.bounds import BoundBreakdown
 from bikoeff.caratheodory import MeasureSampler, atom_moments, sample, smallest_eigenvalue, toeplitz_batch
-from bikoeff.classes import implied_q, parse_spec, solve_coefficients
+from bikoeff.classes import implied_q, parse_spec, solve_coefficients, subordination_target
 from bikoeff.oracle import (
     OracleError,
     SearchConfig,
@@ -21,6 +21,7 @@ from bikoeff.oracle import (
     max_coeff,
     solve_fast,
 )
+from bikoeff.series import TruncatedSeries
 
 SPECS = (
     "st:lambda=0:order:rho=0",
@@ -48,6 +49,22 @@ def test_fast_path_matches_generic(spec_text):
         assert len(fast) == len(qf) == len(q) == m
         assert all(abs(x[0] - complex(y)) < 1e-11 for x, y in zip(fast, exact))
         assert all(abs(x - complex(y)) < 1e-10 for x, y in zip(qf, q))
+
+
+def test_strong_generic_route_is_exact_and_matches_fast_path():
+    # rational beta gives exact B1..B6, so a rational tuple keeps the generic route exact
+    spec = parse_spec("ss:beta=1/2")
+    for seed in range(8):
+        p = [Fraction(e.real).limit_denominator(10**6) for e in sample(seed, 4, restrict_real=True).entries]
+        assert subordination_target(spec, TruncatedSeries([1, *p])).scalar_kind == "exact"
+        a = solve_coefficients(spec, p)
+        q = implied_q(spec, a)
+        exact = (a.a2, a.a3, a.a4, a.a5)
+        assert all(type(x) is Fraction for x in exact + tuple(q))
+        fast = solve_fast(spec, np.array([p], dtype=complex))
+        qf = implied_q_fast(spec, *fast)[0]
+        assert all(abs(x[0] - float(y)) < 1e-11 for x, y in zip(fast, exact))
+        assert all(abs(x - float(y)) < 1e-10 for x, y in zip(qf, q))
 
 
 @pytest.mark.parametrize("spec_text", ["st:lambda=0:order:rho=1/4", "ss:beta=0.7"])
@@ -433,7 +450,7 @@ def test_fit_two_opposite_atoms():
 def test_fit_random_interior_points():
     for seed in range(20):
         p = sample(seed, 3).scaled(0.9)
-        mu = fit_atoms(p, seed=seed)
+        mu = fit_atoms(p)
         assert fit_residual(mu, p) < 1e-8
 
 
@@ -441,7 +458,36 @@ def test_fit_rejects_points_outside_the_body():
     p = sample(0, 3)
     t = 2.0 / (2.0 - smallest_eigenvalue(p))
     with pytest.raises(OracleError):
-        fit_atoms(p.scaled(1.3 * t), seed=1)
+        fit_atoms(p.scaled(1.3 * t))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("max_atoms,restrict_real", [(1, False), (2, False), (2, True), (5, False), (5, True)])
+def test_fit_sampled_tuples(m, max_atoms, restrict_real):
+    # one or two atoms at m = 3, 4 are boundary tuples; real-flagged rows are
+    # the real parts of complex ones
+    P, _ = MeasureSampler(11, max_atoms, restrict_real).moments(150, m)
+    for row in P:
+        mu = fit_atoms(row)
+        assert fit_residual(mu, row) < 1e-10
+        assert len(mu.atoms) <= m + 1
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_fit_boundary_and_outside(m):
+    for seed in range(40):
+        p = sample(seed, m)
+        t = 2.0 / (2.0 - smallest_eigenvalue(p))
+        assert fit_residual(fit_atoms(p.scaled(t)), p.scaled(t)) < 1e-10
+        for s in (1.001, 1.05):
+            with pytest.raises(OracleError):
+                fit_atoms(p.scaled(s * t))
+
+
+def test_fit_is_deterministic():
+    for m in (3, 4):
+        p = sample(5, m).scaled(0.95)
+        assert fit_atoms(p) == fit_atoms(p)
 
 
 def test_config_validation():

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,6 @@ from bikoeff.series import (
     TruncatedSeries,
     compose,
     mobius_to_disk,
-    pow_real,
     revert,
 )
 
@@ -166,31 +164,7 @@ def test_revert_requires_normalization():
         revert(TruncatedSeries([0, 2], 3))
 
 
-# -- powers and Mobius maps --------------------------------------------------
-
-
-def test_pow_real_integer_exact():
-    base = TruncatedSeries([1, Fraction(1, 2), Fraction(1, 3)], 4)
-    assert pow_real(base, 2) == base * base
-    assert pow_real(base, -1) * base == TruncatedSeries.one(4)
-    assert pow_real(base, 3).scalar_kind == "exact"
-
-
-def test_pow_real_half_power():
-    base = TruncatedSeries([1.0, 1.0, 0.0, 0.0], 3)
-    half = pow_real(base, 0.5)
-    # (1+z)^(1/2) = 1 + z/2 - z^2/8 + z^3/16
-    expected = [1.0, 0.5, -0.125, 0.0625]
-    assert all(abs(c - e) < 1e-12 for c, e in zip(half.coeffs, expected))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.floats(min_value=-2, max_value=2), st.floats(min_value=-2, max_value=2))
-def test_pow_real_additivity(s, t):
-    base = TruncatedSeries([1.0, 0.7, -0.3, 0.2, 0.1], 4)
-    lhs = pow_real(base, s) * pow_real(base, t)
-    rhs = pow_real(base, s + t)
-    assert all(abs(a - b) < 1e-9 for a, b in zip(lhs.coeffs, rhs.coeffs))
+# -- Mobius maps -------------------------------------------------------------
 
 
 @settings(max_examples=40, deadline=None)
