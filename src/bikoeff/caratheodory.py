@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ATOMS = 5
 # Rows per block of the bulk test: one (m, 4096) complex copy (at most 256 KiB)
 # plus 64 KiB rows per order, not multi-MB full-width arrays, after which the
@@ -50,9 +49,6 @@ class CaratheodoryTuple:
 
     def __getitem__(self, i):
         return self.entries[i]
-
-    def scaled(self, t):
-        return CaratheodoryTuple(tuple(t * e for e in self.entries))
 
 
 @dataclass(frozen=True)
@@ -116,25 +112,6 @@ def toeplitz_matrix(p) -> np.ndarray:
 
 def smallest_eigenvalue(p) -> float:
     return float(np.linalg.eigvalsh(toeplitz_matrix(p))[0])
-
-
-def is_admissible(p, tol: float = DEFAULT_TOL) -> bool:
-    """Caratheodory-Toeplitz criterion with an eigenvalue tolerance."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    return smallest_eigenvalue(p) >= -tol
-
-
-def toeplitz_batch(p_stack: np.ndarray) -> np.ndarray:
-    """Stacked Hermitian Toeplitz matrices for an (n, m) array of tuples."""
-    n, m = p_stack.shape
-    T = np.zeros((n, m + 1, m + 1), dtype=complex)
-    for j in range(m + 1):
-        T[:, j, j] = 2.0
-        for k in range(j + 1, m + 1):
-            T[:, j, k] = p_stack[:, k - j - 1]
-            T[:, k, j] = np.conj(p_stack[:, k - j - 1])
-    return T
 
 
 def admissible_mask(p_stack: np.ndarray, tol: float) -> np.ndarray:

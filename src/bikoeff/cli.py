@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -312,6 +313,8 @@ def _parse_range(text):
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise CliError(f"bad range {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CliError(f"bad range {text!r}: lo and hi must be finite")
     if steps < 1:
         raise CliError("range needs at least one step")
     return lo, hi, steps

@@ -17,26 +17,33 @@ the Schwarz function (p - 1)/(p + 1), then the generator phi, then the
 operator, solved order by order.  Order 3 gives a2..a4 and the implied
 (q1, q2, q3); order 4 adds a5 and q4.  The generic series route in
 :mod:`bikoeff.classes` is the slow reference the tests compare against.
-The same closed forms also take one row of Python scalars, which is how
-the refinement objective calls them: a one-row numpy array would pay
-array overhead on every operation of every evaluation.  For the same
-reason the refinement runs scipy's Nelder-Mead algorithm on Python
-floats (:func:`_nelder_mead`), and the objective calls ``eigvalsh`` only
-where a scalar Levinson test does not find the implied tuple admissible.
-The polish aims POLISH_MARGIN inside the feasibility tolerance, so that
-the polished point passes the re-check at -tol.
+The best candidates are polished over their reflection (Schur)
+coefficients: a tuple lies in the closed body exactly when every one has
+modulus at most 1, so the Levinson recursion run backwards from
+kappa = sin^2(s) e^{i phi} (real kappa = sin(s) for a real tuple) maps
+every point of the polish into the body.  The same closed forms also
+take one row of Python scalars, which is how the refinement objective
+calls them: a one-row numpy array would pay array overhead on every
+operation of every evaluation.  For the same reason the refinement runs
+scipy's Nelder-Mead algorithm on Python floats (:func:`_nelder_mead`,
+through the dispatcher :func:`minimize`; scipy itself is needed only by
+the tests that compare the two), and the objective calls ``eigvalsh``
+only where a scalar Levinson test does not find the implied tuple
+admissible.  The polish aims POLISH_MARGIN inside the feasibility
+tolerance, so that the polished point passes the re-check at -tol, and
+:func:`fit_atoms` gives a polished point its witness measure.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import add, lt
+from operator import add, lt, mul
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
 
 from .bounds import (
     A5_UNAVAILABLE,
@@ -254,24 +261,85 @@ def a5_chain(spec: ClassSpec | FastSpec, p_stack):
 
 
 # ---------------------------------------------------------------------------
-# Search
+# Reflection coefficients
 # ---------------------------------------------------------------------------
 
 
-def _moments_scalar(theta, w, m, real=False):
-    """:func:`caratheodory.atom_moments` for lists of floats, in scalar arithmetic.
+def _levinson(r, kappa):
+    """The scalar Levinson-Durbin recursion on Toeplitz data r_0 = 1, r_1, ..., r_N, N = len(kappa).
 
-    ``real`` keeps the real parts only, as the sampler does for a real-flagged sample.
+    Step k forms acc = sum_j a_j r_{k-j} over the predictor a_0..a_{k-1}
+    and takes the reflection coefficient kappa_k = -(r_{k+1} + acc) / E_k
+    from r where ``kappa[k]`` is None; where kappa_k is given it takes
+    r_{k+1} = -(kappa_k E_k + acc) instead, the inverse step.  Either way
+    the predictor becomes a_j + kappa_k conj(a_{k-1-j}), then kappa_k, and
+    the prediction error E_{k+1} = E_k (1 - |kappa_k|^2), from E_0 = 1.
+    A kappa_k taken from r that leaves E_{k+1} within BOUNDARY_ERR of zero
+    marks a boundary tuple: it is normalised to modulus 1 and the walk
+    stops, since the rest of r is then fixed.  Returns (r, kappa, a) with
+    kappa cut where the walk stopped.  Raises :class:`OracleError`
+    when such a kappa_k leaves E_{k+1} below -BOUNDARY_ERR: the data lie
+    outside the coefficient body.
     """
-    p = []
-    for n in range(1, m + 1):
-        re = im = 0.0
-        for t, wk in zip(theta, w):
-            re += wk * math.cos(n * t)
-            if not real:
-                im -= wk * math.sin(n * t)
-        p.append(complex(2.0 * re, 2.0 * im))
-    return p
+    r, kappa = list(r), list(kappa)
+    a, err = [], 1.0
+    for k, given in enumerate(kappa):
+        acc = sum(map(mul, a, r[k:0:-1]))  # a_j r_{k-j}
+        if given is None:
+            kap = -(r[k + 1] + acc) / err
+        else:
+            kap = given
+            r[k + 1] = -(kap * err + acc)
+        mod = abs(kap)
+        err *= 1.0 - mod * mod
+        stop = given is None and err <= BOUNDARY_ERR
+        if stop:
+            if err < -BOUNDARY_ERR:
+                raise OracleError(f"tuple lies outside the coefficient body (reflection coefficient {mod:.6g})")
+            kap /= mod
+        kappa[k] = kap
+        a = [x + kap * y.conjugate() for x, y in zip(a, a[::-1])] + [kap]
+        if stop:
+            return r, kappa[: k + 1], a
+    return r, kappa, a
+
+
+def _to_reflection(p, real):
+    """Polish coordinates of a tuple of the body: its reflection coefficients on r = conj(p)/2.
+
+    kappa_k = sin^2(s_k) e^{i phi_k} gives x = [s_0..s_{m-1}, phi_0..phi_{m-1}];
+    a ``real`` tuple has real kappa_k = sin(s_k) and x = [s_0..s_{m-1}].  On
+    a boundary tuple the kappa after the first of modulus 1 are free and
+    set to 0.
+    """
+    m = len(p)
+    _, kappa, _ = _levinson([1.0] + [complex(e).conjugate() / 2 for e in p], [None] * m)
+    kappa += [0.0] * (m - len(kappa))
+    # a kappa normalised to modulus 1 can round just past it
+    if real:
+        return [math.asin(min(max(k.real, -1.0), 1.0)) for k in kappa]
+    return ([math.asin(math.sqrt(min(abs(k), 1.0))) for k in kappa]
+            + [math.atan2(k.imag, k.real) for k in kappa])
+
+
+def _from_reflection(x, real):
+    """The tuple (p_1..p_m) at polish coordinates x, by the inverse Levinson steps.
+
+    Every x maps into the closed body, since every |kappa_k| <= 1.  A
+    ``real`` x gives a list of floats, any other a list of complex.
+    """
+    if real:
+        kappa = [math.sin(s) for s in x]
+    else:
+        m = len(x) // 2
+        kappa = [cmath.rect(math.sin(s) ** 2, phi) for s, phi in zip(x[:m], x[m:])]
+    r = _levinson([1.0] + [0.0] * len(kappa), kappa)[0]
+    return [2 * c.conjugate() for c in r[1:]]
+
+
+# ---------------------------------------------------------------------------
+# Search
+# ---------------------------------------------------------------------------
 
 
 def _system(spec, p):
@@ -285,22 +353,19 @@ def _system(spec, p):
     return (a2, a3, a4), implied_q_fast(spec, a2, a3, a4)
 
 
-def _objective(spec, target_index, K, m, tol, real=False):
-    """Refinement objective at x = [K angles, K raw weights], a list of floats.
+def _objective(spec, target_index, tol, real=False):
+    """Refinement objective at polish coordinates x (:func:`_to_reflection`), a list of floats.
 
-    -|a_target| plus a penalty of 1e4 per unit by which lambda_min of the
-    implied tuple's Toeplitz matrix falls below -tol.  Where T + tol I passes
-    the scalar Levinson test there is no penalty; only the other points pay
-    for ``eigvalsh``, which sizes it.  With ``real`` the moments keep only
-    their real parts.
+    -|a_target| of the tuple x stands for, plus a penalty of 1e4 per unit
+    by which lambda_min of the implied tuple's Toeplitz matrix falls below
+    -tol.  Where T + tol I passes the scalar Levinson test there is no
+    penalty; only the other points pay for ``eigvalsh``, which sizes it.
     """
     fast = fast_spec(spec)
     r0 = 2.0 + tol
 
     def objective(x):
-        w = [abs(v) + 1e-12 for v in x[K:]]
-        total = sum(w)
-        coeffs, q = _system(fast, _moments_scalar(x[:K], [v / total for v in w], m, real))
+        coeffs, q = _system(fast, _from_reflection(x, real))
         value = -abs(coeffs[target_index])
         if _positive_scalar(q, r0):
             return value
@@ -329,16 +394,36 @@ def _ordered(sim, fsim):
     return [sim[k] for k in order], [fsim[k] for k in order]
 
 
+class OptimizeResult(NamedTuple):
+    """The fields of scipy's ``OptimizeResult`` that a polish reports."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    status: int
+    success: bool
+
+
+def minimize(fun, x0, method, options):
+    """``method(fun, x0, **options)``: scipy's ``minimize`` calling convention for a callable method.
+
+    The polish calls :func:`_nelder_mead` through this name, so that a
+    caller can wrap the polish at ``bikoeff.oracle.minimize``.
+    """
+    return method(fun, x0, **options)
+
+
 def _nelder_mead(fun, x0, args=(), *, maxiter, xatol=1e-4, fatol=1e-4, **_):
     """scipy's non-adaptive, unbounded ``"Nelder-Mead"`` on lists of Python floats.
 
-    A ``method`` for :func:`scipy.optimize.minimize`; ``maxiter`` must be
-    given.  It builds the same initial simplex, takes the same steps and
-    stop tests, sums the centroid row by row as ``np.add.reduce`` does and
-    orders the simplex as numpy's argsort does after every step
-    (:func:`_ordered`), so it returns scipy's ``x``, ``fun``, ``nit``,
-    ``nfev`` and ``status`` bit for bit.  ``fun`` gets each vertex as a
-    list, not a copy.
+    A ``method`` for :func:`minimize` or ``scipy.optimize.minimize``;
+    ``maxiter`` must be given.  It builds the same initial simplex, takes
+    the same steps and stop tests, sums the centroid row by row as
+    ``np.add.reduce`` does and orders the simplex as numpy's argsort does
+    after every step (:func:`_ordered`), so it returns scipy's ``x``,
+    ``fun``, ``nit``, ``nfev`` and ``status`` bit for bit.  ``fun`` gets
+    each vertex as a list, not a copy.
     """
     x0 = np.asarray(x0, dtype=float).ravel().tolist()
     N = len(x0)
@@ -399,39 +484,35 @@ def _nelder_mead(fun, x0, args=(), *, maxiter, xatol=1e-4, fatol=1e-4, **_):
                           status=status, success=status == 0)
 
 
-def _refine(spec, target_index, theta0, w0, m, config, real):
-    """Polish one candidate measure by penalized simplex search.
+def _refine(spec, target_index, p0, config, real):
+    """Polish one candidate tuple by penalized simplex search; returns the polished tuple.
 
-    A ``real`` candidate is the real part of its atoms' moments, and so is
-    every point the polish scores.
-
-    The simplex is scipy's Nelder-Mead run on Python floats
-    (:func:`_nelder_mead`).  The objective aims at lambda_min >= -tol +
-    POLISH_MARGIN: the penalized optimum sits just past the tolerance it is
-    given, and the re-check in :func:`_search` holds the polished point to
-    the full -tol.
+    The simplex runs over the candidate's reflection coefficients
+    (:func:`_to_reflection`), so every point it scores lies in the closed
+    body, and a ``real`` candidate stays real.  It is scipy's Nelder-Mead
+    run on Python floats (:func:`_nelder_mead`), called through
+    :func:`minimize`, with ``refine_steps`` iterations per coordinate.  The
+    objective aims at lambda_min >= -tol + POLISH_MARGIN: the penalized
+    optimum sits just past the tolerance it is given, and the re-check in
+    :func:`_search` holds the polished point to the full -tol.
     """
-    K = len(theta0)
-    objective = _objective(spec, target_index, K, m, config.tol_feasible - POLISH_MARGIN, real)
-    x0 = np.concatenate([theta0, w0])
+    objective = _objective(spec, target_index, config.tol_feasible - POLISH_MARGIN, real)
+    x0 = _to_reflection(p0, real)
     res = minimize(objective, x0, method=_nelder_mead,
                    options={"maxiter": config.refine_steps * len(x0), "xatol": 1e-10, "fatol": 1e-12})
-    theta = res.x[:K]
-    w = np.abs(res.x[K:]) + 1e-12
-    w = w / w.sum()
-    return theta, w
+    return np.array(_from_reflection(res.x.tolist(), real), dtype=complex)
 
 
 def _search(spec, target_index, config):
     """Largest feasible |a_(target_index + 2)|: (best_value, feasible_count, argmax).
 
     a2..a4 come from the order-3 system and a5 from the order-4 one.  A
-    polished real-flagged sample keeps the real parts of its moments, which
-    are the moments of its symmetrised atoms (theta, w/2), (-theta, w/2).
+    polished point replaces the best only if its implied tuple passes the
+    re-check at -tol and :func:`fit_atoms` finds the measure for its witness.
     """
     m = 4 if target_index == 3 else 3
     sampler = MeasureSampler(config.seed, config.max_atoms, config.restrict_real)
-    p, (angles, weights, real_flags) = sampler.moments(config.samples, m)
+    p, (_, _, real_flags) = sampler.moments(config.samples, m)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # non-finite rows fail admissible_mask
         coeffs, q = _system(spec, p)
@@ -452,20 +533,20 @@ def _search(spec, target_index, config):
     for i in order:
         if not feasible[i]:
             continue
-        real = bool(real_flags[i])
-        theta, w = _refine(spec, target_index, angles[i], weights[i], m, config, real)
-        p_ref = atom_moments(theta, w, m)
-        if real:
-            p_ref.imag = 0.0
-            theta, w = np.concatenate([theta, -theta]), np.concatenate([w, w]) / 2
+        p_ref = _refine(spec, target_index, p[i], config, bool(real_flags[i]))
         coeffs_ref, q_ref = _system(spec, p_ref[None, :])
         ok = smallest_eigenvalue(tuple(q_ref[0])) >= -config.tol_feasible
         value = abs(complex(coeffs_ref[target_index][0]))
-        if ok and value > best_value:
-            best_value = value
-            best = {"p": tuple(complex(e) for e in p_ref),
-                    "q": tuple(complex(e) for e in q_ref[0]), "refined": True,
-                    "atoms": [(float(t), float(wk)) for t, wk in zip(theta, w)]}
+        if not (ok and value > best_value):
+            continue
+        try:
+            witness = fit_atoms(p_ref)
+        except OracleError:  # skipped, as a point that fails the re-check is
+            continue
+        best_value = value
+        best = {"p": tuple(complex(e) for e in p_ref),
+                "q": tuple(complex(e) for e in q_ref[0]), "refined": True,
+                "atoms": list(witness.atoms)}
     return best_value, n_feasible, best
 
 
@@ -524,35 +605,22 @@ def check_a5_system(spec: ClassSpec, config: SearchConfig = SearchConfig()) -> O
 def fit_atoms(p) -> AtomicMeasure:
     """The atomic measure whose moments are the tuple, built by the Szego recursion.
 
-    The Levinson-Durbin recursion on c_n = p_n / 2 (c_0 = 1) yields the
-    reflection coefficients kappa_0, ..., kappa_{m-1} and the predictor
-    polynomials A_1, ..., A_m, A_{k+1} of degree k + 1 from kappa_k.  The
-    first kappa_k of modulus 1, i.e. a prediction error of zero up to
-    BOUNDARY_ERR, marks a boundary tuple, which is carried by the k + 1
-    roots of A_{k+1}.  An interior tuple is closed with kappa_m = 1: that
-    paraorthogonal polynomial has m + 1 simple roots on the circle.  The
-    N roots are the z_j = e^{-i theta_j}, and one Vandermonde solve on
-    c_0, ..., c_{N-1} gives the weights.  Raises :class:`OracleError` when
+    The Levinson-Durbin recursion (:func:`_levinson`) on c_n = p_n / 2
+    (c_0 = 1) yields the reflection coefficients kappa_0, ..., kappa_{m-1}
+    and the predictor polynomials A_1, ..., A_m, A_{k+1} of degree k + 1
+    from kappa_k.  The first kappa_k of modulus 1, i.e. a prediction error
+    of zero up to BOUNDARY_ERR, marks a boundary tuple, which is carried by
+    the k + 1 roots of A_{k+1}.  An interior tuple is closed with
+    kappa_m = 1: that paraorthogonal polynomial has m + 1 simple roots on
+    the circle.  The N roots are the z_j = e^{-i theta_j}, and one
+    Vandermonde solve on c_0, ..., c_{N-1} gives the weights.  Raises :class:`OracleError` when
     a reflection coefficient exceeds modulus 1 (the tuple lies outside the
     body) or when the moments miss by FIT_TOL or more.
     """
     entries = [complex(e) for e in (p.entries if isinstance(p, CaratheodoryTuple) else p)]
     m = len(entries)
     r = [1.0] + [e.conjugate() / 2 for e in entries]
-    err = 1.0
-    a = []
-    for k in range(m + 1):
-        kappa = -(r[k + 1] + sum(a[j] * r[k - j] for j in range(k))) / err if k < m else 1.0
-        mod = abs(kappa)
-        err *= 1.0 - mod * mod
-        if err < -BOUNDARY_ERR:
-            raise OracleError(f"tuple lies outside the coefficient body (reflection coefficient {mod:.6g})")
-        closing = err <= BOUNDARY_ERR
-        if closing:
-            kappa /= mod
-        a = [a[j] + kappa * a[k - 1 - j].conjugate() for j in range(k)] + [kappa]
-        if closing:
-            break
+    _, _, a = _levinson(r + [0.0], [None] * m + [1.0])  # closing at kappa_m = 1 writes r_{m+1}
     z = np.roots([*a[::-1], 1.0])
     z /= np.abs(z)
     w = np.linalg.solve(np.vander(z, increasing=True).T, np.conj(r[: len(z)])).real

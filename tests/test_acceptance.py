@@ -13,13 +13,14 @@ from fractions import Fraction
 import pytest
 
 from bikoeff.bounds import ss_beta_a5, st_rho_a5
-from bikoeff.caratheodory import is_admissible, sample, smallest_eigenvalue
+from bikoeff.caratheodory import sample, smallest_eigenvalue
 from bikoeff.classes import ClassSpec, apply_operator, janowski_coeffs, parse_spec
 from bikoeff.cli import main
 from bikoeff.oracle import SearchConfig, check_a5_system, fit_atoms, fit_residual, max_coeff
 from bikoeff.series import CoefficientVector, revert
 
 from conftest import random_fraction
+from helpers import is_admissible, scaled
 from test_classes import m_lhs, m_lhs_inverse, st_lhs, st_lhs_inverse
 
 
@@ -159,9 +160,9 @@ def test_criterion_7_caratheodory_body():
         for seed in range(1000):
             p = sample(seed, 3)
             t = 2.0 / (2.0 - smallest_eigenvalue(p))
-            assert not is_admissible(p.scaled(1.05 * t), tol=1e-10)
+            assert not is_admissible(scaled(p, 1.05 * t), tol=1e-10)
         for seed in range(100):
-            p = sample(seed, 3).scaled(0.9)
+            p = scaled(sample(seed, 3), 0.9)
             assert fit_residual(fit_atoms(p), p) < 1e-8
 
 

@@ -15,14 +15,14 @@ from bikoeff.caratheodory import (
     admissible_mask,
     atom_moments,
     from_atoms,
-    is_admissible,
     sample,
     smallest_eigenvalue,
-    toeplitz_batch,
     toeplitz_matrix,
 )
 from bikoeff.classes import parse_spec
 from bikoeff.oracle import a5_chain, implied_q_fast, solve_fast
+
+from helpers import is_admissible, scaled, toeplitz_batch
 
 
 # -- tuples and matrices -----------------------------------------------------
@@ -95,7 +95,7 @@ def test_shrink_preserves_admissibility():
     for seed in range(30):
         p = sample(seed, 3)
         for t in (0.9, 0.5, 0.1):
-            assert is_admissible(p.scaled(t), tol=1e-10)
+            assert is_admissible(scaled(p, t), tol=1e-10)
 
 
 def boundary_scale(p):
@@ -110,8 +110,8 @@ def test_scaling_past_boundary_fails():
     for seed in range(30):
         p = sample(seed, 3)
         t = boundary_scale(p)
-        assert is_admissible(p.scaled(0.999 * t), tol=1e-9)
-        assert not is_admissible(p.scaled(1.05 * t), tol=1e-9)
+        assert is_admissible(scaled(p, 0.999 * t), tol=1e-9)
+        assert not is_admissible(scaled(p, 1.05 * t), tol=1e-9)
 
 
 def test_few_atoms_sit_on_the_boundary():
@@ -122,7 +122,7 @@ def test_few_atoms_sit_on_the_boundary():
         w = rng.dirichlet(np.ones(3))
         p = from_atoms(AtomicMeasure(tuple(zip(theta, w))), 3)
         assert abs(smallest_eigenvalue(p)) < 1e-10
-        assert not is_admissible(p.scaled(1.05), tol=1e-9)
+        assert not is_admissible(scaled(p, 1.05), tol=1e-9)
 
 
 def test_second_coefficient_disc_inequality():

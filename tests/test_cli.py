@@ -423,6 +423,13 @@ def test_sweep_zero_steps_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("bounds", ["0:1e400", "-inf:1", "nan:1", "0:inf"])
+def test_sweep_rejects_non_finite_range(capsys, bounds):
+    code, _, err = run(capsys, "sweep", "st:lambda=0:order:rho={}",
+                       "--param", "rho", f"--range={bounds}:3", "--coeffs", "a2")
+    assert code == 1 and "bad range" in err
+
+
 def test_sweep_requires_single_placeholder(capsys):
     code, _, err = run(capsys, "sweep", "st:lambda=0:order:rho=0",
                        "--param", "rho", "--range", "0:0.5:3", "--coeffs", "a2")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -6,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from bikoeff import caratheodory, oracle
+from bikoeff import caratheodory, cli, oracle
 from bikoeff.bounds import BoundBreakdown
-from bikoeff.caratheodory import MeasureSampler, atom_moments, sample, smallest_eigenvalue, toeplitz_batch
+from bikoeff.caratheodory import MeasureSampler, atom_moments, sample, smallest_eigenvalue
 from bikoeff.classes import implied_q, parse_spec, solve_coefficients, subordination_target
 from bikoeff.oracle import (
     OracleError,
@@ -22,6 +23,8 @@ from bikoeff.oracle import (
     solve_fast,
 )
 from bikoeff.series import TruncatedSeries
+
+from helpers import scaled, toeplitz_batch
 
 SPECS = (
     "st:lambda=0:order:rho=0",
@@ -99,18 +102,20 @@ A5_SPECS = ["st:lambda=0:order:rho=1/4", "ss:beta=3/4"]
 SCALAR_RTOL = 1e-12
 
 
-def array_objective(spec, target_index, x, K, m, tol):
-    """(value, scale) of the refinement objective on the one-row array path.
+def reflection_point(rng, m, real):
+    """Random polish coordinates: m of them for a real tuple, 2m for a complex one."""
+    return rng.uniform(-2 * np.pi, 4 * np.pi, m if real else 2 * m).tolist()
+
+
+def array_objective(spec, target_index, p, tol):
+    """(value, scale) of the refinement objective at the tuple p on the one-row array path.
 
     The value is the reference.  Its scale is |a_target|, plus 1e4 ||T||
     when the penalty 1e4 (-lambda_min - tol) is active: eigvalsh fixes
     lambda_min only to within rounding of ||T||, so a penalized value near
     the boundary carries that error whichever path computes it.
     """
-    theta = x[:K]
-    w = np.abs(x[K:]) + 1e-12
-    w = w / w.sum()
-    coeffs, q = oracle._system(spec, atom_moments(theta, w, m)[None, :])
+    coeffs, q = oracle._system(spec, np.array([p], dtype=complex))
     eig = np.linalg.eigvalsh(toeplitz_batch(q))[0]
     value = abs(complex(coeffs[target_index][0]))
     penalty = max(0.0, -(eig[0] + tol))
@@ -125,26 +130,26 @@ def assert_rows_close(scalar, array):
 
 @pytest.mark.parametrize("spec_text,m", [(t, 3) for t in SCALAR_SPECS] + [(t, 4) for t in A5_SPECS])
 def test_scalar_system_matches_array_path(spec_text, m):
+    # odd draws are real tuples, which the scalar path keeps in floats
     spec = parse_spec(spec_text)
     fast = oracle.fast_spec(spec)
-    K, tol = 5, 1e-7
+    tol = 1e-7
     targets = (3,) if m == 4 else (0, 1, 2)
     rng = np.random.default_rng(7)
-    for _ in range(40):
-        x = np.concatenate([rng.uniform(-2 * np.pi, 4 * np.pi, K), rng.uniform(-1, 1, K)])
-        theta = x[:K]
-        w = np.abs(x[K:]) + 1e-12
-        w = w / w.sum()
-        p = atom_moments(theta, w, m)
-        assert_rows_close(oracle._moments_scalar(x[:K].tolist(), w.tolist(), m), p)
-        coeffs, q = oracle._system(fast, tuple(complex(e) for e in p))
-        ref_coeffs, ref_q = oracle._system(spec, p[None, :])
-        assert isinstance(q, tuple) and all(isinstance(e, complex) for e in (*coeffs, *q))
+    for k in range(40):
+        real = k % 2 == 1
+        kind = float if real else complex
+        x = reflection_point(rng, m, real)
+        p = oracle._from_reflection(x, real)
+        assert len(p) == m and all(isinstance(e, kind) for e in p)
+        coeffs, q = oracle._system(fast, p)
+        ref_coeffs, ref_q = oracle._system(spec, np.array([p], dtype=complex))
+        assert isinstance(q, tuple) and all(isinstance(e, kind) for e in (*coeffs, *q))
         assert_rows_close([complex(c) for c in coeffs], [c[0] for c in ref_coeffs])
-        assert_rows_close(q, ref_q[0])
+        assert_rows_close([complex(e) for e in q], ref_q[0])
         for target_index in targets:
-            value = oracle._objective(spec, target_index, K, m, tol)(x.tolist())
-            ref, scale = array_objective(spec, target_index, x, K, m, tol)
+            value = oracle._objective(spec, target_index, tol, real)(x)
+            ref, scale = array_objective(spec, target_index, p, tol)
             assert abs(value - ref) <= SCALAR_RTOL * scale
 
 
@@ -154,26 +159,53 @@ def test_scalar_system_matches_array_path(spec_text, m):
 def test_objective_skips_eigvalsh_where_the_levinson_gate_passes(spec_text, m, monkeypatch):
     spec = parse_spec(spec_text)
     fast = oracle.fast_spec(spec)
-    K, tol = 5, 1e-7
+    tol = 1e-7
     target_index = 3 if m == 4 else 1
-    objective = oracle._objective(spec, target_index, K, m, tol)
+    objectives = {real: oracle._objective(spec, target_index, tol, real) for real in (False, True)}
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
     rng = np.random.default_rng(3)
     passed = 0
-    for _ in range(200):
-        x = np.concatenate([rng.uniform(0, 2 * np.pi, K), rng.uniform(0, 1, K)]).tolist()
-        w = [abs(v) + 1e-12 for v in x[K:]]
-        coeffs, q = oracle._system(fast, oracle._moments_scalar(x[:K], [v / sum(w) for v in w], m))
+    for k in range(200):
+        real = k % 2 == 1
+        x = reflection_point(rng, m, real)
+        coeffs, q = oracle._system(fast, oracle._from_reflection(x, real))
         before = len(calls)
-        value = objective(x)
+        value = objectives[real](x)
         if caratheodory._positive_scalar(q, 2.0 + tol):
             passed += 1
             assert value == -abs(coeffs[target_index]) and len(calls) == before
         else:
             assert len(calls) == before + 1
     assert 0 < passed < 200
+
+
+# -- reflection coordinates --------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_atoms,restrict_real", [(1, False), (1, True), (2, False), (2, True),
+                                                     (5, False), (5, True)])
+def test_reflection_coordinates_round_trip(m, max_atoms, restrict_real):
+    # one or two atoms give boundary tuples, whose later coefficients are free;
+    # real-flagged rows take m coordinates, the others 2m
+    P, (_, _, real_flags) = MeasureSampler(13, max_atoms, restrict_real).moments(200, m)
+    for row, real in zip(P, real_flags.tolist()):
+        x = oracle._to_reflection(row, real)
+        assert len(x) == (m if real else 2 * m)
+        back = oracle._from_reflection(x, real)
+        assert max(abs(complex(b) - a) for a, b in zip(row, back)) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_every_reflection_point_lies_in_the_body(m):
+    rng = np.random.default_rng(m)
+    boundary = [math.pi / 2] * m + [0.5] * m  # every kappa of modulus 1
+    for k in range(200):
+        real = k % 2 == 1
+        x = boundary[: m if real else None] if k < 2 else reflection_point(rng, m, real)
+        assert smallest_eigenvalue(oracle._from_reflection(x, real)) >= -1e-12
 
 
 def test_closed_forms_keep_array_shapes():
@@ -240,20 +272,39 @@ def test_refined_a5_points_pass_the_recheck(spec_text, tol, monkeypatch):
     margins = []
     refine = oracle._refine
 
-    def recorded(spec, target_index, theta0, w0, m, config, real):
-        theta, w = refine(spec, target_index, theta0, w0, m, config, real)
-        p = atom_moments(theta, w, m)
-        if real:
-            p.imag = 0.0
+    def recorded(spec, target_index, p0, config, real):
+        p = refine(spec, target_index, p0, config, real)
         _, q = oracle._system(spec, p[None, :])
         margins.append(smallest_eigenvalue(tuple(q[0])) + config.tol_feasible)
-        return theta, w
+        return p
 
     monkeypatch.setattr(oracle, "_refine", recorded)
     rep = check_a5_system(parse_spec(spec_text), SearchConfig(samples=2000, seed=0, tol_feasible=tol))
     assert rep.argmax["refined"]
     assert smallest_eigenvalue(rep.argmax["q"]) >= -tol + oracle.POLISH_MARGIN / 2
     assert len(margins) == 3 and not any(-1e-6 < g < 0 for g in margins)
+
+
+def test_polished_point_without_a_witness_is_skipped(monkeypatch, capsys):
+    # a polished point whose measure fit_atoms cannot build is skipped, as one
+    # that fails the re-check is; verify still reports the raw best
+    spec_text = "st:lambda=1/2:order:rho=1/4"
+    raw = max_coeff(parse_spec(spec_text), "a3", SearchConfig(seed=0, samples=2000, refine_top=0))
+    fits = []
+
+    def no_witness(p):
+        fits.append(p)
+        raise OracleError("no atomic measure reproduces the tuple")
+
+    monkeypatch.setattr(oracle, "fit_atoms", no_witness)
+    rep = max_coeff(parse_spec(spec_text), "a3",
+                    SearchConfig(seed=0, samples=2000, refine_top=1, refine_steps=60))
+    assert fits and not rep.argmax["refined"] and rep.best_value == raw.best_value
+    code = cli.main(["verify", spec_text, "--target", "a3", "--samples", "2000", "--seed", "0",
+                     "--refine-top", "1", "--refine-steps", "60", "--format", "json"])
+    assert code == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert row["oracle_best"] == cli._sig15(raw.best_value)
 
 
 def test_real_flagged_start_is_scored_as_its_candidate(monkeypatch):
@@ -449,7 +500,7 @@ def test_fit_two_opposite_atoms():
 
 def test_fit_random_interior_points():
     for seed in range(20):
-        p = sample(seed, 3).scaled(0.9)
+        p = scaled(sample(seed, 3), 0.9)
         mu = fit_atoms(p)
         assert fit_residual(mu, p) < 1e-8
 
@@ -458,7 +509,7 @@ def test_fit_rejects_points_outside_the_body():
     p = sample(0, 3)
     t = 2.0 / (2.0 - smallest_eigenvalue(p))
     with pytest.raises(OracleError):
-        fit_atoms(p.scaled(1.3 * t))
+        fit_atoms(scaled(p, 1.3 * t))
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -478,15 +529,15 @@ def test_fit_boundary_and_outside(m):
     for seed in range(40):
         p = sample(seed, m)
         t = 2.0 / (2.0 - smallest_eigenvalue(p))
-        assert fit_residual(fit_atoms(p.scaled(t)), p.scaled(t)) < 1e-10
+        assert fit_residual(fit_atoms(scaled(p, t)), scaled(p, t)) < 1e-10
         for s in (1.001, 1.05):
             with pytest.raises(OracleError):
-                fit_atoms(p.scaled(s * t))
+                fit_atoms(scaled(p, s * t))
 
 
 def test_fit_is_deterministic():
     for m in (3, 4):
-        p = sample(5, m).scaled(0.95)
+        p = scaled(sample(5, m), 0.95)
         assert fit_atoms(p) == fit_atoms(p)
 
 
