@@ -5,17 +5,23 @@ matrix with diagonal 2 and off-diagonals p_{j-k} is positive semidefinite;
 admissible tuples are generated from atomic probability measures on the
 circle through their trigonometric moments p_n = 2 sum_k w_k e^{-i n theta_k}.
 :func:`atom_moments` takes them as powers of z_k = e^{-i theta_k}: one complex
-exp per atom, not one per atom and order, agreeing with the latter to 4e-15.
+exp per atom of positive weight, not one per atom and order, agreeing with
+the latter to 4e-15.
 
 With an eigenvalue tolerance, lambda_min(T) >= -tol holds exactly when
 T + tol I is positive semidefinite.  The shifted matrix is again Hermitian
 Toeplitz (diagonal 2 + tol), so the bulk test :func:`admissible_mask` runs
 the Levinson-Durbin recursion on it: by Sylvester's criterion it is
 positive definite exactly when every prediction error E_k = D_{k+1}/D_k
-stays positive, which costs O(m^2) array operations per block of rows
-instead of an eigendecomposition per row.  Only rows with lambda_min = -tol
-to within rounding can be decided differently from ``eigvalsh``.  Rows go
-through in fixed blocks so the recursion's temporaries stay small.
+stays positive, which costs O(m^2) array operations on the rows it is
+given instead of an eigendecomposition per row.  Only rows with
+lambda_min = -tol to within rounding can be decided differently from
+``eigvalsh``.  The oracle hands it one block of rows at a time, so the
+recursion's temporaries stay small.
+
+:class:`MeasureSampler` draws any contiguous run of rows of its stream on
+its own (``start``), bit for bit as a single draw of all rows gives them,
+so the search can take its samples block by block.
 """
 
 from __future__ import annotations
@@ -25,11 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_MAX_ATOMS = 5
-# Rows per block of the bulk test: one (m, 4096) complex copy (at most 256 KiB)
-# plus 64 KiB rows per order, not multi-MB full-width arrays, after which the
-# sampler's later allocations piled up on the heap (scan-bulk peak RSS 248 MB
-# unblocked against 212 MB blocked).
-_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -81,11 +82,12 @@ def atom_moments(angles, weights, m: int) -> np.ndarray:
     """p_n = 2 sum_k w_k z_k^n, n = 1..m, for z_k = e^{-i theta_k}: (..., K) atoms to (..., m)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    z = np.exp(-1j * angles)
+    # a zero-weight atom adds nothing, so its exp is skipped and z_k left at 1
+    z = np.exp(-1j * angles, out=np.ones(np.shape(angles), dtype=complex), where=weights > 0)
     zn = np.ones_like(z)
     p = np.empty(z.shape[:-1] + (m,), dtype=complex)
     for n in range(m):
-        zn *= z
+        zn = zn * z  # not in place: numpy rounds an in-place product of one element differently
         p[..., n] = 2.0 * np.einsum("...k,...k->...", zn, weights)
     return p
 
@@ -118,16 +120,11 @@ def admissible_mask(p_stack: np.ndarray, tol: float) -> np.ndarray:
     """Vectorized admissibility over an (n, m) array of moment tuples.
 
     Row i passes when lambda_min(T(2, p_i)) >= -tol, decided as positive
-    definiteness of T + tol I by the Levinson-Durbin recursion, block by
-    block.  Rows holding NaN or inf come back False.
+    definiteness of T + tol I by the Levinson-Durbin recursion.  Rows
+    holding NaN or inf come back False.
     """
-    n, m = p_stack.shape
-    mask = np.empty(n, dtype=bool)
     with np.errstate(all="ignore"):  # rows that went non-finite or negative are already False
-        for start in range(0, n, _BLOCK_ROWS):
-            r = np.conj(p_stack[start : start + _BLOCK_ROWS].T)
-            mask[start : start + _BLOCK_ROWS] = _levinson_positive(r, 2.0 + tol)
-    return mask
+        return _levinson_positive(np.conj(p_stack.T), 2.0 + tol)
 
 
 def _levinson_positive(r: np.ndarray, r0: float) -> np.ndarray:
@@ -189,10 +186,16 @@ class MeasureSampler:
         self.max_atoms = max_atoms
         self.restrict_real = restrict_real
 
-    def block(self, n: int):
-        """(angles, weights, real_flags) for n samples, prefix-stable in n."""
+    def block(self, n: int, start: int = 0):
+        """(angles, weights, real_flags) for samples start..start + n - 1 of the stream.
+
+        Each sample takes 2K + 2 uniforms, so the generator is advanced past
+        the first ``start`` rows and any block equals the matching rows of
+        one draw of them all, bit for bit.
+        """
         K = self.max_atoms
         rng = np.random.default_rng(self.seed)
+        rng.bit_generator.advance(start * (2 * K + 2))
         U = rng.random((n, 2 * K + 2))
         counts = np.minimum(1 + (U[:, 0] * K).astype(int), K)
         real_flags = U[:, 1] < 0.5 if not self.restrict_real else np.ones(n, dtype=bool)
@@ -203,13 +206,13 @@ class MeasureSampler:
         weights = raw / raw.sum(axis=1, keepdims=True)
         return angles, weights, real_flags
 
-    def moments(self, n: int, m: int):
-        """(n, m) admissible tuples plus the generating atoms.
+    def moments(self, n: int, m: int, start: int = 0):
+        """(n, m) admissible tuples of samples start..start + n - 1, plus the generating atoms.
 
         p_n = 2 sum_k w_k z_k^n by powers of z = e^{-i theta} (:func:`atom_moments`);
         real-flagged rows keep the real parts.
         """
-        angles, weights, real_flags = self.block(n)
+        angles, weights, real_flags = self.block(n, start)
         p = atom_moments(angles, weights, m)
         p.imag[real_flags] = 0.0
         return p, (angles, weights, real_flags)

@@ -1,8 +1,9 @@
-"""Coefficient-body helpers that only the tests use: the eigenvalue admissibility
-test, stacked Toeplitz matrices and the scaling of a tuple."""
+"""Helpers that only the tests use: the eigenvalue admissibility test, stacked
+Toeplitz matrices, the scaling of a tuple and a one-shot oracle search."""
 
 import numpy as np
 
+from bikoeff import oracle
 from bikoeff.caratheodory import CaratheodoryTuple, smallest_eigenvalue
 
 
@@ -28,3 +29,50 @@ def toeplitz_batch(p_stack: np.ndarray) -> np.ndarray:
 def scaled(p: CaratheodoryTuple, t) -> CaratheodoryTuple:
     """The tuple t p."""
     return CaratheodoryTuple(tuple(t * e for e in p.entries))
+
+
+def one_shot_search(spec, target_index, config):
+    """The oracle search on every sample at once: the reference for the streamed ``_search``.
+
+    It draws all rows in one call, solves and masks them as one array and
+    takes the first row of largest value and the ``refine_top`` best rows
+    by value, then by index; the polish and its acceptance are
+    ``_search``'s.  Exact ties are ordered by index here, which an
+    unstable ``argsort`` of the whole array leaves unspecified.
+    """
+    m = 4 if target_index == 3 else 3
+    sampler = oracle.MeasureSampler(config.seed, config.max_atoms, config.restrict_real)
+    p, (_, _, real_flags) = sampler.moments(config.samples, m)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        coeffs, q = oracle._system(spec, p)
+    feasible = oracle.admissible_mask(q, config.tol_feasible)
+    n_feasible = int(feasible.sum())
+    if n_feasible == 0:
+        if not np.isfinite(q).all(axis=-1).any():
+            raise oracle.OracleError("implied tuples overflow floating point for this class")
+        raise oracle.OracleError("search produced no feasible system")
+    values = np.where(feasible, np.abs(coeffs[target_index]), -np.inf)
+    order = np.argsort(-values, kind="stable")[: config.refine_top]
+    top = int(np.argmax(values))
+    best_value = float(values[top])
+    best = {"p": tuple(complex(e) for e in p[top]),
+            "q": tuple(complex(e) for e in q[top]),
+            "refined": False}
+    for i in order:
+        if not feasible[i]:
+            continue
+        p_ref = oracle._refine(spec, target_index, p[i], config, bool(real_flags[i]))
+        coeffs_ref, q_ref = oracle._system(spec, p_ref[None, :])
+        ok = smallest_eigenvalue(tuple(q_ref[0])) >= -config.tol_feasible
+        value = abs(complex(coeffs_ref[target_index][0]))
+        if not (ok and value > best_value):
+            continue
+        try:
+            witness = oracle.fit_atoms(p_ref)
+        except oracle.OracleError:
+            continue
+        best_value = value
+        best = {"p": tuple(complex(e) for e in p_ref),
+                "q": tuple(complex(e) for e in q_ref[0]), "refined": True,
+                "atoms": list(witness.atoms)}
+    return best_value, n_feasible, best

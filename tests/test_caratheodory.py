@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bikoeff import caratheodory
+from bikoeff import caratheodory, oracle
 from bikoeff.caratheodory import (
     AtomicMeasure,
     CaratheodoryTuple,
@@ -162,6 +162,19 @@ def test_sampler_prefix_stable():
         assert np.array_equal(large[:10], small)
 
 
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("max_atoms", [1, 5])
+@pytest.mark.parametrize("restrict_real", [False, True])
+def test_sampler_blocks_concatenate_to_one_draw(m, max_atoms, restrict_real):
+    sampler = MeasureSampler(7, max_atoms, restrict_real)
+    whole, atoms = sampler.moments(1000, m)
+    edges = [0, 1, 2, 255, 256, 999, 1000]
+    parts = [sampler.moments(b - a, m, a) for a, b in zip(edges, edges[1:])]
+    assert np.array_equal(np.concatenate([part for part, _ in parts]), whole)
+    for k in range(3):
+        assert np.array_equal(np.concatenate([part[k] for _, part in parts]), atoms[k])
+
+
 def test_sampler_rejects_m_below_one():
     for m in (0, -1):
         with pytest.raises(ValueError, match="m must be >= 1"):
@@ -186,6 +199,25 @@ def test_sampler_moments_match_exp_route(m, max_atoms, restrict_real):
     # |p_n| <= 2, so the tolerance is absolute
     assert np.abs(p - exp_route_moments(*atoms, m)).max() <= 1e-13
     assert np.all(p[atoms[2]].imag == 0)
+
+
+def all_atoms_moments(angles, weights, m):
+    """atom_moments with the exp taken for every atom, zero weights included."""
+    z = np.exp(-1j * angles)
+    zn = np.ones_like(z)
+    p = np.empty(z.shape[:-1] + (m,), dtype=complex)
+    for n in range(m):
+        zn *= z
+        p[..., n] = 2.0 * np.einsum("...k,...k->...", zn, weights)
+    return p
+
+
+@pytest.mark.parametrize("max_atoms", [2, 5])
+def test_atom_moments_skip_zero_weights_bit_for_bit(max_atoms):
+    angles, weights, _ = MeasureSampler(23, max_atoms).block(20000)
+    assert (weights == 0).any()
+    for m in (1, 4):
+        assert np.array_equal(atom_moments(angles, weights, m), all_atoms_moments(angles, weights, m))
 
 
 def test_atom_moments_shapes():
@@ -279,7 +311,7 @@ def test_mask_matches_eigvalsh_on_implied_a5_tuples(spec_text):
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, 37])
 def test_mask_block_edges(extra):
-    n = caratheodory._BLOCK_ROWS + extra
+    n = oracle.BLOCK_ROWS + extra
     rng = np.random.default_rng(n)
     p = 0.8 * (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)))
     assert_mask_matches_reference(p, 1e-9)

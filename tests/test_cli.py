@@ -348,6 +348,23 @@ def test_bad_env_seed_exits_one(capsys, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("route", ["flag", "env", "config"])
+def test_negative_seed_exits_one(capsys, monkeypatch, tmp_path, route):
+    # the sampler's generator takes no negative seed; a usage error, not a traceback
+    argv = ["verify", "ss:beta=3/4", "--target", "a5", "--samples", "100"]
+    if route == "flag":
+        argv += ["--seed", "-1"]
+    elif route == "env":
+        monkeypatch.setenv("BIKOEFF_SEED", "-1")
+    else:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed = -1\n")
+        argv += ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "bikoeff: error: seed must be >= 0\n"
+
+
 # -- expand ------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from bikoeff.oracle import (
 )
 from bikoeff.series import TruncatedSeries
 
-from helpers import scaled, toeplitz_batch
+from helpers import one_shot_search, scaled, toeplitz_batch
 
 SPECS = (
     "st:lambda=0:order:rho=0",
@@ -251,6 +252,69 @@ def test_best_value_below_bound():
         assert rep.variants == {"": {"bound": rep.bound, "violated": False,
                                      "slack": rep.slack, "proven": True}}
         assert 0 < rep.feasible_count <= rep.samples
+
+
+B = oracle.BLOCK_ROWS
+
+
+def result_or_error(search, *args):
+    try:
+        return search(*args)
+    except OracleError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("samples", [1, B - 1, B, B + 1, 3 * B + 17])
+@pytest.mark.parametrize("spec_text,target_index", [("st:lambda=0:order:rho=1/4", 1), ("ss:beta=3/4", 3)])
+@pytest.mark.parametrize("restrict_real", [False, True])
+@pytest.mark.parametrize("refine_top", [0, 2])
+def test_streamed_search_matches_one_shot(samples, spec_text, target_index, restrict_real, refine_top):
+    # every block boundary case: the summary kept between blocks must give the
+    # best value, feasible count, argmax and polished candidates of one draw
+    spec = parse_spec(spec_text)
+    config = SearchConfig(seed=4, samples=samples, refine_top=refine_top, refine_steps=3,
+                          restrict_real=restrict_real)
+    streamed = result_or_error(oracle._search, spec, target_index, config)
+    assert streamed == result_or_error(one_shot_search, spec, target_index, config)
+    if samples > 1:
+        assert streamed[1] > 0
+
+
+def test_streamed_candidates_break_ties_by_index(monkeypatch):
+    # on m:lambda=1:order:rho=0, dozens of samples reach |a2| = 1 to the last
+    # digit, so the best rows tie exactly; the polish takes them by index
+    spec = parse_spec("m:lambda=1:order:rho=0")
+    p, _ = MeasureSampler(0).moments(3 * B, 3)
+    coeffs, q = oracle._system(spec, p)
+    values = np.where(caratheodory.admissible_mask(q, 1e-7), np.abs(coeffs[0]), -np.inf)
+    tied = np.flatnonzero(values == values.max())
+    k = int((tied < B).sum()) + 3  # the candidates span blocks
+    assert len(tied) > k
+    starts = []
+
+    def record(spec, target_index, p0, config, real):
+        starts.append(p0)
+        return p0
+
+    monkeypatch.setattr(oracle, "_refine", record)
+    oracle._search(spec, 0, SearchConfig(seed=0, samples=3 * B, refine_top=k))
+    assert np.array_equal(starts, p[tied[:k]])
+
+
+def search_peak(samples):
+    config = SearchConfig(seed=0, samples=samples, refine_top=0)
+    tracemalloc.start()
+    try:
+        check_a5_system(parse_spec("ss:beta=3/4"), config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_search_memory_does_not_grow_with_samples():
+    # numpy reports its buffers to tracemalloc; a search that held every
+    # sample at once peaked at 162 MiB for 400k samples against 8.8 MiB for 20k
+    assert search_peak(400_000) <= 1.5 * search_peak(20_000)
 
 
 def test_refinement_gains_on_a3():
@@ -544,6 +608,8 @@ def test_fit_is_deterministic():
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(samples=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SearchConfig(seed=-1)
     with pytest.raises(ValueError):
         SearchConfig(refine_top=-1)
     with pytest.raises(ValueError, match="refine_steps must be >= 0"):
