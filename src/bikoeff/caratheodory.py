@@ -11,13 +11,18 @@ the latter to 4e-15.
 With an eigenvalue tolerance, lambda_min(T) >= -tol holds exactly when
 T + tol I is positive semidefinite.  The shifted matrix is again Hermitian
 Toeplitz (diagonal 2 + tol), so the bulk test :func:`admissible_mask` runs
-the Levinson-Durbin recursion on it: by Sylvester's criterion it is
-positive definite exactly when every prediction error E_k = D_{k+1}/D_k
-stays positive, which costs O(m^2) array operations on the rows it is
-given instead of an eigendecomposition per row.  Only rows with
-lambda_min = -tol to within rounding can be decided differently from
+the Levinson-Durbin recursion (:func:`levinson`) on it: by Sylvester's
+criterion it is positive definite exactly when every prediction error
+E_k = D_{k+1}/D_k stays positive, which costs O(m^2) array operations on
+the rows it is given instead of an eigendecomposition per row.  Only rows
+with lambda_min = -tol to within rounding can be decided differently from
 ``eigvalsh``.  The oracle hands it one block of rows at a time, so the
-recursion's temporaries stay small.
+recursion's temporaries stay small.  :func:`levinson` is the one copy of
+the recursion: it takes arrays of rows or one row of Python scalars, and
+runs forward (data to reflection coefficients) or inverse, so the same
+steps, rounded the same way, serve the mask, its one-row form
+:func:`admissible_row` that gates the refinement objective, and the
+oracle's reflection-coefficient maps and measure recovery.
 
 :class:`MeasureSampler` draws any contiguous run of rows of its stream on
 its own (``start``), bit for bit as a single draw of all rows gives them,
@@ -116,56 +121,61 @@ def smallest_eigenvalue(p) -> float:
     return float(np.linalg.eigvalsh(toeplitz_matrix(p))[0])
 
 
+def levinson(r, kappa):
+    """The Levinson-Durbin (Schur) recursion on Hermitian Toeplitz data r_0, ..., r_N, N = len(kappa).
+
+    ``r`` is one row of Python scalars, or r_0 followed by one array of
+    rows per order.  Step k forms acc = r_{k+1} + sum_j a_j r_{k-j} over the
+    predictor a_0..a_{k-1} and takes the reflection coefficient
+    kappa_k = -acc / E_k where ``kappa[k]`` is None.  Where kappa_k is given
+    the step is inverse: acc starts from 0 and it writes
+    r_{k+1} = -(kappa_k E_k + acc), so the entries of ``r`` past r_0 may be
+    placeholders there.  Either way the predictor becomes
+    a_j + kappa_k conj(a_{k-1-j}), then kappa_k, and the prediction error
+    E_{k+1} = E_k (1 - |kappa_k|^2), from E_0 = r_0.  Each step yields
+    (kappa_k, r_{k+1}, E_{k+1}, predictor); by Sylvester's criterion the
+    matrix is positive definite exactly when every E_{k+1} is positive,
+    since E_{k+1} = D_{k+2} / D_{k+1}.  The steps are lazy, so a caller that
+    stops at the first E_{k+1} <= 0 never has one divide by it.
+    """
+    r = list(r)
+    a, err = [], r[0]
+    for k, given in enumerate(kappa):
+        acc = r[k + 1] if given is None else 0.0
+        for j in range(k):
+            acc = acc + a[j] * r[k - j]
+        if given is None:
+            kap = -acc / err
+        else:
+            kap = given
+            r[k + 1] = -(kap * err + acc)
+        a = [a[j] + kap * a[k - 1 - j].conjugate() for j in range(k)] + [kap]
+        err = err * (1.0 - (kap.real * kap.real + kap.imag * kap.imag))
+        yield kap, r[k + 1], err, a
+
+
 def admissible_mask(p_stack: np.ndarray, tol: float) -> np.ndarray:
     """Vectorized admissibility over an (n, m) array of moment tuples.
 
     Row i passes when lambda_min(T(2, p_i)) >= -tol, decided as positive
-    definiteness of T + tol I by the Levinson-Durbin recursion.  Rows
+    definiteness of T + tol I by :func:`levinson` on r = conj(p_i).  Rows
     holding NaN or inf come back False.
     """
+    r = np.conj(p_stack.T)
+    ok = np.full(len(p_stack), 2.0 + tol > 0)
     with np.errstate(all="ignore"):  # rows that went non-finite or negative are already False
-        return _levinson_positive(np.conj(p_stack.T), 2.0 + tol)
-
-
-def _levinson_positive(r: np.ndarray, r0: float) -> np.ndarray:
-    """Positive definiteness of the Hermitian Toeplitz matrices with first column (r0, r[:, i]).
-
-    ``r`` is (m, rows).  The recursion keeps the prediction coefficients
-    ``a`` and error ``err`` of order k; a row passes while every error is
-    positive (Sylvester's criterion, since err_k = D_{k+1} / D_k).
-    """
-    m, rows = r.shape
-    err = np.full(rows, r0, dtype=float)
-    ok = err > 0
-    a = []
-    for k in range(m):
-        acc = r[k].copy()
-        for j in range(k):
-            acc += a[j] * r[k - 1 - j]
-        kappa = -acc / err
-        a = [a[j] + kappa * np.conj(a[k - 1 - j]) for j in range(k)] + [kappa]
-        err = err * (1.0 - (kappa.real**2 + kappa.imag**2))
-        ok &= err > 0
+        for _, _, err, _ in levinson([2.0 + tol, *r], [None] * len(r)):
+            ok &= err > 0
     return ok
 
 
-def _positive_scalar(q, r0):
-    """Positive definiteness of the Hermitian Toeplitz matrix with diagonal r0 and off-diagonals q.
+def admissible_row(q, tol: float) -> bool:
+    """:func:`admissible_mask` on one row of Python scalars, in Python arithmetic.
 
-    The one-row mirror of :func:`_levinson_positive` on r = conj(q), in
-    Python complex arithmetic for the refinement objective: False as soon as
-    a prediction error is not positive, which includes rows holding NaN or inf.
+    False at the first prediction error that is not positive, which
+    includes rows holding NaN or inf; the recursion stops there.
     """
-    r = [c.conjugate() for c in q]
-    err = r0
-    a = []
-    for k in range(len(r)):
-        acc = r[k]
-        for j in range(k):
-            acc += a[j] * r[k - 1 - j]
-        kappa = -acc / err
-        a = [a[j] + kappa * a[k - 1 - j].conjugate() for j in range(k)] + [kappa]
-        err *= 1.0 - (kappa.real * kappa.real + kappa.imag * kappa.imag)
+    for _, _, err, _ in levinson([2.0 + tol, *(c.conjugate() for c in q)], [None] * len(q)):
         if not err > 0:
             return False
     return True

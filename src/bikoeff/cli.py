@@ -173,9 +173,11 @@ def cmd_bounds(args) -> int:
 
 def _parse_coeffs(text):
     names = [t.strip() for t in text.split(",") if t.strip()]
-    for n in names:
+    for k, n in enumerate(names):
         if n not in COEFF_NAMES:
             raise CliError(f"unknown coefficient {n!r} (choose from {', '.join(COEFF_NAMES)})")
+        if n in names[:k]:
+            raise CliError(f"coefficient {n!r} given more than once")
     if not names:
         raise CliError("empty coefficient list")
     return names

@@ -24,8 +24,9 @@ operator, solved order by order.  Order 3 gives a2..a4 and the implied
 :mod:`bikoeff.classes` is the slow reference the tests compare against.
 The best candidates are polished over their reflection (Schur)
 coefficients: a tuple lies in the closed body exactly when every one has
-modulus at most 1, so the Levinson recursion run backwards from
-kappa = sin^2(s) e^{i phi} (real kappa = sin(s) for a real tuple) maps
+modulus at most 1, so the inverse steps of the Levinson recursion
+(:func:`caratheodory.levinson`, the kernel of the bulk mask too) from
+kappa = sin^2(s) e^{i phi} (real kappa = sin(s) for a real tuple) map
 every point of the polish into the body.  The same closed forms also
 take one row of Python scalars, which is how the refinement objective
 calls them: a one-row numpy array would pay array overhead on every
@@ -33,8 +34,8 @@ operation of every evaluation.  For the same reason the refinement runs
 scipy's Nelder-Mead algorithm on Python floats (:func:`_nelder_mead`,
 through the dispatcher :func:`minimize`; scipy itself is needed only by
 the tests that compare the two), and the objective calls ``eigvalsh``
-only where a scalar Levinson test does not find the implied tuple
-admissible.  The polish aims POLISH_MARGIN inside the feasibility
+only where :func:`caratheodory.admissible_row`, the bulk mask's test
+on one row, does not find the implied tuple admissible.  The polish aims POLISH_MARGIN inside the feasibility
 tolerance, so that the polished point passes the re-check at -tol, and
 :func:`fit_atoms` gives a polished point its witness measure.
 """
@@ -45,7 +46,7 @@ import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import add, lt, mul
+from operator import add, lt
 from typing import NamedTuple
 
 import numpy as np
@@ -65,10 +66,11 @@ from .caratheodory import (
     AtomicMeasure,
     CaratheodoryTuple,
     MeasureSampler,
-    _positive_scalar,
     admissible_mask,
+    admissible_row,
     atom_moments,
     from_atoms,
+    levinson,
     smallest_eigenvalue,
     toeplitz_matrix,
 )
@@ -276,47 +278,29 @@ def a5_chain(spec: ClassSpec | FastSpec, p_stack):
 # ---------------------------------------------------------------------------
 
 
-def _levinson(r, kappa):
-    """The scalar Levinson-Durbin recursion on Toeplitz data r_0 = 1, r_1, ..., r_N, N = len(kappa).
+def _reflection(p):
+    """(kappa, boundary): the reflection coefficients of a tuple of the body, on r = conj(p)/2.
 
-    Step k forms acc = sum_j a_j r_{k-j} over the predictor a_0..a_{k-1}
-    and takes the reflection coefficient kappa_k = -(r_{k+1} + acc) / E_k
-    from r where ``kappa[k]`` is None; where kappa_k is given it takes
-    r_{k+1} = -(kappa_k E_k + acc) instead, the inverse step.  Either way
-    the predictor becomes a_j + kappa_k conj(a_{k-1-j}), then kappa_k, and
-    the prediction error E_{k+1} = E_k (1 - |kappa_k|^2), from E_0 = 1.
-    A kappa_k taken from r that leaves E_{k+1} within BOUNDARY_ERR of zero
-    marks a boundary tuple: it is normalised to modulus 1 and the walk
-    stops, since the rest of r is then fixed.  Returns (r, kappa, a) with
-    kappa cut where the walk stopped.  Raises :class:`OracleError`
-    when such a kappa_k leaves E_{k+1} below -BOUNDARY_ERR: the data lie
-    outside the coefficient body.
+    The forward :func:`levinson` walk from r_0 = 1.  A kappa_k that leaves
+    E_{k+1} within BOUNDARY_ERR of zero marks a boundary tuple: it is
+    normalised to modulus 1 and the walk stops there, since the rest of r
+    is then fixed, so kappa ends at index k and ``boundary`` is True.
+    Raises :class:`OracleError` when such a kappa_k leaves E_{k+1} below
+    -BOUNDARY_ERR: the tuple lies outside the coefficient body.
     """
-    r, kappa = list(r), list(kappa)
-    a, err = [], 1.0
-    for k, given in enumerate(kappa):
-        acc = sum(map(mul, a, r[k:0:-1]))  # a_j r_{k-j}
-        if given is None:
-            kap = -(r[k + 1] + acc) / err
-        else:
-            kap = given
-            r[k + 1] = -(kap * err + acc)
-        mod = abs(kap)
-        err *= 1.0 - mod * mod
-        stop = given is None and err <= BOUNDARY_ERR
-        if stop:
+    kappa = []
+    for kap, _, err, _ in levinson([1.0, *(complex(e).conjugate() / 2 for e in p)], [None] * len(p)):
+        if err <= BOUNDARY_ERR:
+            mod = abs(kap)
             if err < -BOUNDARY_ERR:
                 raise OracleError(f"tuple lies outside the coefficient body (reflection coefficient {mod:.6g})")
-            kap /= mod
-        kappa[k] = kap
-        a = [x + kap * y.conjugate() for x, y in zip(a, a[::-1])] + [kap]
-        if stop:
-            return r, kappa[: k + 1], a
-    return r, kappa, a
+            return kappa + [kap / mod], True
+        kappa.append(kap)
+    return kappa, False
 
 
 def _to_reflection(p, real):
-    """Polish coordinates of a tuple of the body: its reflection coefficients on r = conj(p)/2.
+    """Polish coordinates of a tuple of the body: its reflection coefficients (:func:`_reflection`).
 
     kappa_k = sin^2(s_k) e^{i phi_k} gives x = [s_0..s_{m-1}, phi_0..phi_{m-1}];
     a ``real`` tuple has real kappa_k = sin(s_k) and x = [s_0..s_{m-1}].  On
@@ -324,7 +308,7 @@ def _to_reflection(p, real):
     set to 0.
     """
     m = len(p)
-    _, kappa, _ = _levinson([1.0] + [complex(e).conjugate() / 2 for e in p], [None] * m)
+    kappa, _ = _reflection(p)
     kappa += [0.0] * (m - len(kappa))
     # a kappa normalised to modulus 1 can round just past it
     if real:
@@ -334,7 +318,7 @@ def _to_reflection(p, real):
 
 
 def _from_reflection(x, real):
-    """The tuple (p_1..p_m) at polish coordinates x, by the inverse Levinson steps.
+    """The tuple (p_1..p_m) at polish coordinates x, by the inverse :func:`levinson` steps.
 
     Every x maps into the closed body, since every |kappa_k| <= 1.  A
     ``real`` x gives a list of floats, any other a list of complex.
@@ -344,8 +328,7 @@ def _from_reflection(x, real):
     else:
         m = len(x) // 2
         kappa = [cmath.rect(math.sin(s) ** 2, phi) for s, phi in zip(x[:m], x[m:])]
-    r = _levinson([1.0] + [0.0] * len(kappa), kappa)[0]
-    return [2 * c.conjugate() for c in r[1:]]
+    return [2 * r.conjugate() for _, r, _, _ in levinson([1.0] + [None] * len(kappa), kappa)]
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +352,15 @@ def _objective(spec, target_index, tol, real=False):
 
     -|a_target| of the tuple x stands for, plus a penalty of 1e4 per unit
     by which lambda_min of the implied tuple's Toeplitz matrix falls below
-    -tol.  Where T + tol I passes the scalar Levinson test there is no
-    penalty; only the other points pay for ``eigvalsh``, which sizes it.
+    -tol.  Where the implied tuple passes :func:`admissible_row` there is
+    no penalty; only the other points pay for ``eigvalsh``, which sizes it.
     """
     fast = fast_spec(spec)
-    r0 = 2.0 + tol
 
     def objective(x):
         coeffs, q = _system(fast, _from_reflection(x, real))
         value = -abs(coeffs[target_index])
-        if _positive_scalar(q, r0):
+        if admissible_row(q, tol):
             return value
         lam_min = np.linalg.eigvalsh(toeplitz_matrix(q))[0]
         return value + 1e4 * max(0.0, -(lam_min + tol))
@@ -627,25 +609,28 @@ def check_a5_system(spec: ClassSpec, config: SearchConfig = SearchConfig()) -> O
 def fit_atoms(p) -> AtomicMeasure:
     """The atomic measure whose moments are the tuple, built by the Szego recursion.
 
-    The Levinson-Durbin recursion (:func:`_levinson`) on c_n = p_n / 2
-    (c_0 = 1) yields the reflection coefficients kappa_0, ..., kappa_{m-1}
-    and the predictor polynomials A_1, ..., A_m, A_{k+1} of degree k + 1
-    from kappa_k.  The first kappa_k of modulus 1, i.e. a prediction error
-    of zero up to BOUNDARY_ERR, marks a boundary tuple, which is carried by
-    the k + 1 roots of A_{k+1}.  An interior tuple is closed with
-    kappa_m = 1: that paraorthogonal polynomial has m + 1 simple roots on
-    the circle.  The N roots are the z_j = e^{-i theta_j}, and one
-    Vandermonde solve on c_0, ..., c_{N-1} gives the weights.  Raises :class:`OracleError` when
-    a reflection coefficient exceeds modulus 1 (the tuple lies outside the
-    body) or when the moments miss by FIT_TOL or more.
+    The reflection coefficients kappa_0, ..., kappa_{m-1} of c_n = p_n / 2
+    (c_0 = 1, :func:`_reflection`) end at the first of modulus 1 on a
+    boundary tuple; an interior tuple is closed with kappa_m = 1.  The
+    inverse :func:`levinson` run over that closed list gives the predictor
+    polynomial A_N, N = len(kappa): on a boundary its N roots carry the
+    tuple, and for the closing kappa_m = 1 it is the paraorthogonal
+    polynomial, with m + 1 simple roots on the circle.  The roots are the
+    z_j = e^{-i theta_j}, and one Vandermonde solve on c_0, ..., c_{N-1}
+    gives the weights.  Raises :class:`OracleError` when a reflection
+    coefficient exceeds modulus 1 (the tuple lies outside the body) or when
+    the moments miss by FIT_TOL or more.
     """
     entries = [complex(e) for e in (p.entries if isinstance(p, CaratheodoryTuple) else p)]
     m = len(entries)
-    r = [1.0] + [e.conjugate() / 2 for e in entries]
-    _, _, a = _levinson(r + [0.0], [None] * m + [1.0])  # closing at kappa_m = 1 writes r_{m+1}
+    kappa, boundary = _reflection(entries)
+    if not boundary:
+        kappa.append(1.0)
+    *_, (_, _, _, a) = levinson([1.0] + [None] * len(kappa), kappa)
     z = np.roots([*a[::-1], 1.0])
     z /= np.abs(z)
-    w = np.linalg.solve(np.vander(z, increasing=True).T, np.conj(r[: len(z)])).real
+    c = [1.0] + [e / 2 for e in entries]
+    w = np.linalg.solve(np.vander(z, increasing=True).T, c[: len(z)]).real
     w = np.clip(w, 0.0, None)
     w /= w.sum()
     theta = -np.angle(z) % (2 * math.pi)

@@ -336,8 +336,8 @@ def test_mask_property_random_rows(p, tol):
 
 
 def scalar_mask(p_stack, tol):
-    """caratheodory._positive_scalar row by row on tuples of Python complex, as the refinement calls it."""
-    return np.array([caratheodory._positive_scalar(tuple(complex(e) for e in row), 2.0 + tol) for row in p_stack])
+    """caratheodory.admissible_row row by row on tuples of Python complex, as the refinement calls it."""
+    return np.array([caratheodory.admissible_row(tuple(complex(e) for e in row), tol) for row in p_stack])
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -352,6 +352,15 @@ def test_scalar_levinson_matches_the_mask(m, tol):
     scalar = scalar_mask(p, tol)
     assert 0 < scalar.sum() < len(p)
     assert np.array_equal(scalar[decided], mask[decided])
+
+
+def test_gate_stops_before_a_zero_prediction_error():
+    # r_0 = 2.25, r_1 = 2.25: kappa_0 = -1 and E_1 = 0 exactly, which the next step would divide by
+    q = (2.25 + 0j, 0j, 0j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert caratheodory.admissible_row(q, 0.25) is False
+        assert admissible_mask(np.array([q]), 0.25).tolist() == [False]
 
 
 def test_mask_rejects_non_finite_rows_quietly():

@@ -46,6 +46,18 @@ def test_unknown_coefficient_exits_one(capsys):
     assert "a9" in err
 
 
+@pytest.mark.parametrize("argv,name", [
+    (("bounds", "st:lambda=0:order:rho=1/4", "--coeffs", "a2,a2"), "a2"),
+    (("bounds", "st:lambda=0:order:rho=1/4", "--coeffs", "a2, a3,a2"), "a2"),
+    (("sweep", "st:lambda={}:order:rho=0", "--param", "lambda", "--range", "0:1:3",
+      "--coeffs", "a3,a4,a3"), "a3"),
+])
+def test_repeated_coefficient_exits_one(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"coefficient {name!r} given more than once" in err
+
+
 def test_missing_command_exits_one(capsys):
     assert run(capsys)[0] == 1
 

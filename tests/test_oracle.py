@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import json
 import math
@@ -6,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from bikoeff import caratheodory, cli, oracle
@@ -174,7 +177,7 @@ def test_objective_skips_eigvalsh_where_the_levinson_gate_passes(spec_text, m, m
         coeffs, q = oracle._system(fast, oracle._from_reflection(x, real))
         before = len(calls)
         value = objectives[real](x)
-        if caratheodory._positive_scalar(q, 2.0 + tol):
+        if caratheodory.admissible_row(q, tol):
             passed += 1
             assert value == -abs(coeffs[target_index]) and len(calls) == before
         else:
@@ -207,6 +210,64 @@ def test_every_reflection_point_lies_in_the_body(m):
         real = k % 2 == 1
         x = boundary[: m if real else None] if k < 2 else reflection_point(rng, m, real)
         assert smallest_eigenvalue(oracle._from_reflection(x, real)) >= -1e-12
+
+
+def polish_coordinates(kappa, real):
+    """The x that :func:`oracle._from_reflection` maps to reflection coefficients kappa.
+
+    Returns x and the kappa it stands for, as ``_from_reflection`` forms them.
+    """
+    if real:
+        x = [math.asin(k.real) for k in kappa]
+        return x, [math.sin(s) for s in x]
+    x = [math.asin(math.sqrt(abs(k))) for k in kappa] + [cmath.phase(k) for k in kappa]
+    m = len(kappa)
+    return x, [cmath.rect(math.sin(s) ** 2, phi) for s, phi in zip(x[:m], x[m:])]
+
+
+def reflection_lists(max_modulus):
+    """(real, kappa): 1-4 reflection coefficients of modulus at most max_modulus, real or complex."""
+    modulus = st.floats(0.0, max_modulus)
+    complex_kappa = st.builds(cmath.rect, modulus, st.floats(-math.pi, math.pi))
+    real_kappa = st.builds(lambda r, sign: sign * r, modulus, st.sampled_from([1.0, -1.0]))
+    return st.booleans().flatmap(lambda real: st.tuples(
+        st.just(real), st.lists(real_kappa if real else complex_kappa, min_size=1, max_size=4)))
+
+
+def assert_kappa_close(back, kappa):
+    """Each kappa_k to 1e-10, or to 1e-13 / E_k where the error E_k before step k is below 1e-3.
+
+    The forward step divides by E_k, so its rounding grows as 1 / E_k:
+    four kappa of modulus 0.99 leave E_3 = 7.9e-6 and miss by 3.5e-10.
+    """
+    err = 1.0
+    for a, b in zip(back, kappa):
+        assert abs(a - b) <= max(1e-10, 1e-13 / err)
+        err *= 1.0 - abs(b) ** 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(reflection_lists(0.99))
+def test_reflection_round_trip_inside_the_disc(case):
+    real, kappa = case
+    x, kappa = polish_coordinates(kappa, real)
+    back, boundary = oracle._reflection(oracle._from_reflection(x, real))
+    assert not boundary and len(back) == len(kappa)
+    assert_kappa_close(back, kappa)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reflection_lists(0.99), st.data())
+def test_reflection_reports_the_boundary_where_kappa_has_modulus_one(case, data):
+    real, kappa = case
+    k = data.draw(st.integers(0, len(kappa) - 1))
+    kappa[k] = data.draw(st.sampled_from([1.0, -1.0]) if real
+                         else st.builds(cmath.rect, st.just(1.0), st.floats(-math.pi, math.pi)))
+    x, kappa = polish_coordinates(kappa, real)
+    back, boundary = oracle._reflection(oracle._from_reflection(x, real))
+    assert boundary and len(back) == k + 1
+    assert_kappa_close(back[:k], kappa)
+    assert abs(back[k] - kappa[k]) <= 1e-6
 
 
 def test_closed_forms_keep_array_shapes():
