@@ -32,7 +32,7 @@ from .bounds import (
 )
 from .classes import ClassSpec, SpecParseError, apply_operator, parse_spec
 from .oracle import TARGETS, OracleError, SearchConfig, check_a5_system, max_coeff
-from .series import TruncatedSeries, revert
+from .series import Polynomial, TruncatedSeries, revert
 
 SCHEMA_VERSION = "1"
 EXIT_OK = 0
@@ -256,49 +256,45 @@ def _series_text(s: TruncatedSeries, var="z") -> str:
     for n, c in enumerate(s.coeffs):
         if c == 0:
             continue
-        try:
-            text = str(Fraction(c))
-            text = f"({text})" if "/" in text or "-" in text else text
-        except (TypeError, ValueError):
-            text = f"({c})"
+        # a decimal parameter gives a complex-kind series with zero imaginary parts
+        text = f"{c.real:.15g}" if isinstance(c, complex) else str(c)
+        text = f"({text})" if "/" in text or text.startswith("-") else text
         mono = "" if n == 0 else (var if n == 1 else f"{var}^{n}")
         parts.append(text if not mono else (mono if text == "1" else f"{text} {mono}"))
     return " + ".join(parts) if parts else "0"
 
 
-def _symbolic_f(order):
-    import sympy
-
-    a = sympy.symbols(f"a2:{order + 1}")
-    return TruncatedSeries([sympy.Integer(0), sympy.Integer(1), *a], order), a
+def _polynomial_text(poly: Polynomial) -> str:
+    """Variable k as a_{k+2}, terms in descending lex order of exponents, n/d as ``n*mono/d``."""
+    names = sorted({k for mono in poly.terms for k in mono})
+    text = ""
+    for mono, c in sorted(poly.terms.items(), key=lambda t: [t[0].count(k) for k in names], reverse=True):
+        powers = [f"a{k + 2}" + (f"**{mono.count(k)}" if mono.count(k) > 1 else "") for k in names if k in mono]
+        if isinstance(c, float):
+            mantissa, e, exponent = f"{abs(c):.15g}".partition("e")
+            body = "*".join([mantissa + ("" if "." in mantissa else ".0") + e + exponent] + powers)
+        else:
+            c = Fraction(c)
+            head = [] if abs(c.numerator) == 1 and powers else [str(abs(c.numerator))]
+            body = "*".join(head + powers) + ("" if c.denominator == 1 else f"/{c.denominator}")
+        text = f"{text} {'-' if c < 0 else '+'} {body}" if text else ("-" if c < 0 else "") + body
+    return text or "0"
 
 
 def cmd_expand(args) -> int:
-    import sympy
-
     spec = parse_spec(args.spec)
     order = args.order
     if order < 1:
         raise CliError("--order must be >= 1")
+    n = order + 1 if args.what == "operator" else order  # the operator drops one order
+    f = TruncatedSeries([Polynomial(), Polynomial({(): 1}), *(Polynomial({(k,): 1}) for k in range(n - 1))], n)
     if args.what == "generator":
-        out = _series_text(spec.generator.series(order))
+        lines = [_series_text(spec.generator.series(order))]
     elif args.what == "operator":
-        f, _ = _symbolic_f(order + 1)
-        expanded = apply_operator(spec, f)
-        lines = []
-        for n in range(1, min(order, expanded.order) + 1):
-            c = sympy.expand(sympy.cancel(sympy.together(expanded.coeffs[n])))
-            lines.append(f"z^{n}: {c}")
-        out = "\n".join(lines)
-    else:  # inverse
-        f, _ = _symbolic_f(order)
-        g = revert(f)
-        lines = []
-        for n in range(2, order + 1):
-            c = sympy.expand(g.coeffs[n])
-            lines.append(f"w^{n}: {c}")
-        out = "\n".join(lines)
-    _emit(out + "\n", args.out)
+        lines = [f"z^{k}: {_polynomial_text(c)}" for k, c in enumerate(apply_operator(spec, f).coeffs) if k]
+    else:
+        lines = [f"w^{k}: {_polynomial_text(c)}" for k, c in enumerate(revert(f).coeffs) if k > 1]
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

@@ -9,15 +9,16 @@ Two scalar backends are supported and never mixed implicitly:
 * ``float`` -- entries are ``complex``; this is the fast backend the
   numerical oracle uses.
 
-Entries of any other type (e.g. sympy expressions) fall into an ``object``
-kind that mixes with either backend; arithmetic is delegated to the
-entries themselves.
+Entries of any other type, here :class:`Polynomial`, fall into an
+``object`` kind that mixes with either backend; arithmetic is delegated
+to the entries themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from numbers import Rational
 
 
@@ -64,13 +65,61 @@ class CoefficientVector:
     a4: object
     a5: object = None
 
-    def as_series(self, order=None):
+    def as_series(self):
         coeffs = [0, 1, self.a2, self.a3, self.a4]
-        if self.a5 is not None:
-            coeffs.append(self.a5)
-        if order is None:
-            order = len(coeffs) - 1
-        return TruncatedSeries(coeffs, order)
+        return TruncatedSeries(coeffs if self.a5 is None else coeffs + [self.a5])
+
+
+class Polynomial:
+    """A sparse polynomial: ``terms`` maps monomials, sorted variable indices, to nonzero coefficients.
+
+    (0, 0, 1) is x0**2 x1.  Division is by a constant only, and an int
+    divisor is taken as a Fraction, so the series' division stays exact.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=()):
+        self.terms = {mono: c for mono, c in dict(terms).items() if c != 0}
+
+    @staticmethod
+    def _terms(value):
+        return value.terms if isinstance(value, Polynomial) else Polynomial({(): value}).terms
+
+    def __eq__(self, other):
+        return self.terms == self._terms(other)
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for mono, c in self._terms(other).items():
+            terms[mono] = terms.get(mono, 0) + c
+        return Polynomial(terms)
+
+    def __mul__(self, other):
+        terms = {}
+        for (m1, c1), (m2, c2) in product(self.terms.items(), self._terms(other).items()):
+            mono = tuple(sorted(m1 + m2))
+            terms[mono] = terms.get(mono, 0) + c1 * c2
+        return Polynomial(terms)
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if set(self._terms(other)) != {()}:
+            raise SeriesError("a polynomial divides only by a nonzero constant")
+        c = self._terms(other)[()]
+        c = Fraction(c) if isinstance(c, int) else c  # int / int would give a float
+        return Polynomial({mono: v / c for mono, v in self.terms.items()})
 
 
 class TruncatedSeries:

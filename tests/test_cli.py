@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import sys
 import warnings
 from dataclasses import asdict, fields
 
@@ -9,9 +10,10 @@ import pytest
 
 from bikoeff import cli, oracle
 from bikoeff.bounds import BoundBreakdown, a5_family
-from bikoeff.classes import parse_spec
+from bikoeff.classes import apply_operator, parse_spec
 from bikoeff.cli import ReportDocument, main
 from bikoeff.oracle import SearchConfig
+from bikoeff.series import TruncatedSeries, revert
 
 
 def run(capsys, *argv):
@@ -417,6 +419,63 @@ def test_expand_operator_symbolic(capsys):
     code, out, _ = run(capsys, "expand", "st:lambda=1:order:rho=0", "--what", "operator", "--order", "2")
     assert code == 0
     assert "3*a2" in out  # (1 + 2 lambda) a2 at lambda = 1
+
+
+def test_expand_generator_with_decimal_parameters(capsys):
+    # a decimal parameter gives float coefficients: .15g, negatives in parentheses
+    _, out, _ = run(capsys, "expand", "st:lambda=0:order:rho=0.25", "--what", "generator")
+    assert out == "1 + 1.5 z + 1.5 z^2 + 1.5 z^3\n"
+    _, out, _ = run(capsys, "expand", "st:lambda=0:janowski:A=0.5,B=0.25", "--what", "generator")
+    assert out == "1 + 0.25 z + (-0.0625) z^2 + 0.015625 z^3\n"
+
+
+def test_expand_runs_without_sympy(capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    code, out, _ = run(capsys, "expand", "st:lambda=1/2:order:rho=0", "--what", "operator", "--order", "4")
+    assert code == 0 and out == ("z^1: 2*a2\n"
+                                 "z^2: -2*a2**2 + 5*a3\n"
+                                 "z^3: 2*a2**3 - 7*a2*a3 + 9*a4\n"
+                                 "z^4: -2*a2**4 + 9*a2**2*a3 - 11*a2*a4 - 5*a3**2 + 14*a5\n")
+    code, out, _ = run(capsys, "expand", "st:lambda=0:order:rho=0", "--what", "inverse", "--order", "5")
+    assert code == 0 and out == ("w^2: -a2\n"
+                                 "w^3: 2*a2**2 - a3\n"
+                                 "w^4: -5*a2**3 + 5*a2*a3 - a4\n"
+                                 "w^5: 14*a2**4 - 21*a2**2*a3 + 6*a2*a4 + 3*a3**2 - a5\n")
+
+
+EXPAND_LAMBDAS = ("0", "1/2", "5/7", "1", "2", "3/11", "100/3", "0.0", "1.0", "0.3", "0.5", "2.5",
+                  "0.1", "7.25", "123.456", "1e-5", "1e-20", "1e16", "3e22")
+
+
+def sympy_lines(spec_text, what, order):
+    """The lines ``expand`` printed when it ran the series routes over sympy symbols."""
+    import sympy
+
+    n = order + 1 if what == "operator" else order
+    f = TruncatedSeries([sympy.Integer(0), sympy.Integer(1), *sympy.symbols(f"a2:{n + 1}")], n)
+    if what == "operator":
+        c = apply_operator(parse_spec(spec_text), f).coeffs
+        return [f"z^{k}: {sympy.expand(sympy.cancel(sympy.together(c[k])))}" for k in range(1, order + 1)]
+    c = revert(f).coeffs
+    return [f"w^{k}: {sympy.expand(c[k])}" for k in range(2, order + 1)]
+
+
+@pytest.mark.parametrize("lam", EXPAND_LAMBDAS)
+@pytest.mark.parametrize("operator", ["st", "m"])
+def test_expand_operator_prints_as_sympy_did(capsys, operator, lam):
+    # the z^n line depends only on a2..a_(n+1), so order k prints the first k lines of order 6
+    spec_text = f"{operator}:lambda={lam}:order:rho=0"
+    lines = sympy_lines(spec_text, "operator", 6)
+    for order in range(1, 7):
+        _, out, _ = run(capsys, "expand", spec_text, "--what", "operator", "--order", str(order))
+        assert out == "\n".join(lines[:order]) + "\n"
+
+
+def test_expand_inverse_prints_as_sympy_did(capsys):
+    lines = sympy_lines("st:lambda=0:order:rho=0", "inverse", 7)
+    for order in range(1, 8):
+        _, out, _ = run(capsys, "expand", "st:lambda=0:order:rho=0", "--what", "inverse", "--order", str(order))
+        assert out == "\n".join(lines[: order - 1]) + "\n"
 
 
 # -- sweep -------------------------------------------------------------------

@@ -12,9 +12,19 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from bikoeff import caratheodory, cli, oracle
-from bikoeff.bounds import BoundBreakdown
+from bikoeff.bounds import BoundBreakdown, a5_family
 from bikoeff.caratheodory import MeasureSampler, atom_moments, sample, smallest_eigenvalue
-from bikoeff.classes import implied_q, parse_spec, solve_coefficients, subordination_target
+from bikoeff.classes import (
+    ClassSpec,
+    MindaGenerator,
+    implied_q,
+    janowski_coeffs,
+    order_coeffs,
+    parse_spec,
+    solve_coefficients,
+    strong_coeffs,
+    subordination_target,
+)
 from bikoeff.oracle import (
     OracleError,
     SearchConfig,
@@ -84,6 +94,42 @@ def test_a5_chain_matches_generic(spec_text):
         (a2, a3, a4, a5), l = a5_chain(spec, np.array([p.entries]))
         assert abs(a5[0] - complex(a.a5)) < 1e-10
         assert all(abs(x - complex(y)) < 1e-9 for x, y in zip(l[0], q))
+
+
+def rational(lo, hi):
+    return st.fractions(Fraction(lo), Fraction(hi), max_denominator=12)
+
+
+def rational_specs():
+    """Random classes with rational parameters, the a5 classes among them."""
+    generators = st.one_of(
+        st.builds(order_coeffs, rational(0, "11/12")),
+        st.tuples(rational(-1, 1), rational(-1, 1)).filter(lambda ab: ab[1] < ab[0])
+        .map(lambda ab: janowski_coeffs(*ab)),
+        st.builds(strong_coeffs, rational("1/12", 1)),
+        st.builds(lambda *B: MindaGenerator(B), rational("1/12", 2), rational(-2, 2), rational(-2, 2)),
+    )
+    a5_generators = st.one_of(st.builds(order_coeffs, rational(0, "1/2")),
+                              st.builds(strong_coeffs, rational("1/2", 1)))
+    return st.one_of(st.builds(ClassSpec, st.sampled_from(["st", "m"]), rational(0, 4), generators),
+                     st.builds(ClassSpec, st.just("st"), st.just(Fraction(0)), a5_generators))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_specs(), st.lists(rational(-2, 2), min_size=3, max_size=4))
+def test_fast_path_matches_the_generic_route_at_random_rational_classes(spec, p):
+    # the generic route is exact on rational input; every a_n and q_n to 1e-12 relative
+    a = solve_coefficients(spec, p)
+    exact = (a.a2, a.a3, a.a4, a.a5)[: len(p)]
+    q = implied_q(spec, a)
+    row = np.array([[float(e) for e in p]])
+    fast = solve_fast(spec, row)
+    systems = [(fast, implied_q_fast(spec, *fast))]
+    if len(p) == 4 and a5_family(spec):
+        systems.append(a5_chain(spec, row))
+    for coeffs, qf in systems:
+        for x, y in zip([c[0] for c in coeffs] + list(qf[0]), exact + tuple(q)):
+            assert abs(x - float(y)) <= 1e-12 * max(1.0, abs(float(y)))
 
 
 def test_a5_chain_rejects_unsupported_specs():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from bikoeff.series import (
     CoefficientVector,
+    Polynomial,
     SeriesError,
     SeriesKindError,
     TruncatedSeries,
@@ -155,6 +156,19 @@ def test_revert_coefficient_polynomials(rational_rng):
         assert g.coeffs[3] == 2 * a2**2 - a3
         assert g.coeffs[4] == -(5 * a2**3 - 5 * a2 * a3 + a4)
         assert g.coeffs[5] == 14 * a2**4 - 21 * a2**2 * a3 + 3 * a3**2 + 6 * a2 * a4 - a5
+
+
+def test_revert_over_polynomial_entries_is_exact():
+    # an int divisor is taken as a Fraction, so int coefficients never divide as floats
+    a2, a3, a4, a5 = (Polynomial({(k,): 1}) for k in range(4))
+    g = revert(CoefficientVector(a2, a3, a4, a5).as_series())
+    assert g.coeffs[5] == 14 * a2 * a2 * a2 * a2 - 21 * a2 * a2 * a3 + 3 * a3 * a3 + 6 * a2 * a4 - a5
+    half = (1 - a2) / 2
+    assert half.terms == {(): Fraction(1, 2), (0,): Fraction(-1, 2)}
+    assert not any(isinstance(c, float) for e in (*g.coeffs, half) for c in e.terms.values())
+    assert a2 - a2 == 0
+    with pytest.raises(SeriesError):
+        a2 / a3
 
 
 def test_revert_requires_normalization():
