@@ -8,8 +8,8 @@ A class is a pair (operator, generator).  The two operators are
 The generator is an analytic function phi(z) = 1 + B1 z + B2 z^2 + ...
 with positive real part and B1 > 0.  Coefficient systems are never
 hard-coded here: they are obtained by expanding the operator generically
-and solving the resulting triangular system order by order; run over
-:class:`series.Polynomial` scalars, it gives the oracle's fast path.
+and solving the resulting triangular system order by order.  The printed
+closed forms live in the test fixtures and in the oracle's fast path.
 """
 
 from __future__ import annotations

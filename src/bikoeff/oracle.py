@@ -14,10 +14,11 @@ is not a function in the class: the p- and q-tuples are independent
 points of the truncated coefficient body, so the sample only refutes a
 proof that uses no more than those constraints.
 
-The class systems are polynomials that the generic series route of
-:mod:`bikoeff.classes` gives once per class over :class:`series.Polynomial`
-scalars (:func:`fast_spec`): a2..a5 in p1..p4, and the implied q1..q4 in
-a2..a5.  Order 3 gives a2..a4 and (q1, q2, q3); order 4 adds a5 and q4.
+Coefficient solving here is one vectorized closed form for every class:
+the Schwarz function (p - 1)/(p + 1), then the generator phi, then the
+operator, solved order by order.  Order 3 gives a2..a4 and the implied
+(q1, q2, q3); order 4 adds a5 and q4.  The generic series route in
+:mod:`bikoeff.classes` is the reference the tests check them against.
 The best candidates are polished over their reflection (Schur)
 coefficients, where every point lies in the closed body
 (:func:`_from_reflection`), by scipy's Nelder-Mead algorithm run on
@@ -37,7 +38,6 @@ import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import add, lt
 from typing import NamedTuple
 
@@ -66,8 +66,7 @@ from .caratheodory import (
     smallest_eigenvalue,
     toeplitz_matrix,
 )
-from .classes import ClassSpec, MindaGenerator, implied_q, solve_coefficients
-from .series import CoefficientVector, Polynomial
+from .classes import ClassSpec
 
 TARGETS = ("a2", "a3", "a4")
 # The polish aims this far inside the feasibility tolerance: its penalized
@@ -139,13 +138,17 @@ class OracleReport:
 # ---------------------------------------------------------------------------
 # Vectorized closed-form systems
 # ---------------------------------------------------------------------------
+#
+# Each closed form takes stacked tuples, an (..., m) array, and returns
+# arrays, or one row of m Python scalars and returns scalars and tuples.
 
 
 class FastSpec(NamedTuple):
-    """A class's systems as float polynomial programs (:func:`_program`), derived once."""
+    """What the closed forms read from a class, as floats, resolved once."""
 
-    solve: tuple  # programs of (a2..a4) in (p1..p3) and of (a2..a5) in (p1..p4)
-    implied: tuple  # programs of (q1..q3) in (a2..a4) and of (q1..q4) in (a2..a5)
+    operator: str
+    lam: float
+    B: tuple  # (B1, B2, B3, B4); B4 = 0 for a generator given by B1..B3
     a5: tuple | None  # bounds.a5_family(spec)
 
 
@@ -154,64 +157,96 @@ def fast_spec(spec) -> FastSpec:
     if isinstance(spec, FastSpec):
         return spec
     B = (*spec.generator.B, 0)[:4]  # MindaGenerator.series pads a missing B4 with 0
-    return FastSpec(*_derive(spec.operator, spec.lam, *B), a5_family(spec))
+    return FastSpec(spec.operator, float(spec.lam), tuple(float(b) for b in B), a5_family(spec))
 
 
-@lru_cache(maxsize=256, typed=True)  # typed: a float parameter rounds apart from an equal exact one
-def _derive(operator, lam, *B):
-    """(solve, implied) programs of a class: the generic route over polynomial p1..p4, then a2..a5."""
-    spec = ClassSpec(operator, lam, MindaGenerator(B))
-    x = [Polynomial({(k,): 1}) for k in range(4)]
-    a = solve_coefficients(spec, x)
-    a = (a.a2, a.a3, a.a4, a.a5)
-    q = implied_q(spec, CoefficientVector(*x))
-    return tuple(_program(a[:m]) for m in (3, 4)), tuple(_program(q[:m]) for m in (3, 4))
+def _columns(p):
+    """p1..pm: the columns of an (..., m) array, or the entries of one row of scalars."""
+    if isinstance(p, np.ndarray):
+        p = [p[..., k] for k in range(p.shape[-1])]
+    if len(p) not in (3, 4):
+        raise ValueError("the closed forms take (p1, p2, p3) or (p1, ..., p4)")
+    return p
 
 
-def _program(polys):
-    """(steps, outputs) for :func:`_evaluate`: values 0..n-1 are the n = len(polys) variables.
-
-    Step (i, j) appends value i times variable j, one product per monomial and prefix; an output
-    is its (value index, coefficient) terms, real parts (a float parameter's are complex, imag 0).
-    """
-    index = {(j,): j for j in range(len(polys))}
-    steps = []
-    prefixes = {mono[:k] for poly in polys for mono in poly.terms for k in range(2, len(mono) + 1)}
-    for mono in sorted(prefixes, key=lambda mono: (len(mono), mono)):
-        index[mono] = len(index)
-        steps.append((index[mono[:-1]], mono[-1]))
-    return tuple(steps), tuple(tuple((index[mono], float(c.real)) for mono, c in sorted(poly.terms.items()))
-                               for poly in polys)
-
-
-def _evaluate(program, x):
-    """The outputs of a :func:`_program` at x, the columns of an array or one row of scalars."""
-    steps, outputs = program
-    values = list(x)
-    for i, j in steps:
-        values.append(values[i] * values[j])
-    out = []
-    for (i, c), *rest in outputs:
-        acc = c * values[i]
-        for i, c in rest:
-            acc += c * values[i]
-        out.append(acc)
-    return out
+def _stack(entries):
+    """Stack per-order results as the last axis, or keep one row of scalars a tuple."""
+    if isinstance(entries[0], (np.ndarray, np.generic)):
+        return np.stack(entries, axis=-1)
+    return tuple(entries)
 
 
 def solve_fast(spec: ClassSpec | FastSpec, p_stack):
-    """(a2, a3, a4) from (p1, p2, p3), (a2, ..., a5) from (p1, ..., p4): an (..., m) array or one row."""
-    p = [p_stack[..., k] for k in range(p_stack.shape[-1])] if isinstance(p_stack, np.ndarray) else p_stack
-    if len(p) not in (3, 4):
-        raise ValueError("the closed forms take (p1, p2, p3) or (p1, ..., p4)")
-    return tuple(_evaluate(fast_spec(spec).solve[len(p) - 3], p))
+    """(a2, a3, a4) from stacked (p1, p2, p3) tuples, (a2, ..., a5) from (p1, ..., p4).
+
+    phi(u) = 1 + t1 z + t2 z^2 + ... for the Schwarz function
+    u = (p - 1)/(p + 1), and the operator's z^(n-1) coefficient, solved for
+    a_n, gives a_n.
+    """
+    operator, lam, (B1, B2, B3, B4), _ = fast_spec(spec)
+    p = _columns(p_stack)
+    p1, p2, p3 = p[:3]
+    u1 = p1 / 2
+    u2 = p2 / 2 - p1**2 / 4
+    u3 = p3 / 2 - p1 * p2 / 2 + p1**3 / 8
+    t1 = B1 * u1
+    t2 = B1 * u2 + B2 * u1**2
+    t3 = B1 * u3 + 2 * B2 * u1 * u2 + B3 * u1**3
+    if operator == "st":
+        a2 = t1 / (1 + 2 * lam)
+        a3 = (t2 + (1 + 2 * lam) * a2**2) / (2 * (1 + 3 * lam))
+        a4 = (t3 + (3 + 8 * lam) * a2 * a3 - (1 + 2 * lam) * a2**3) / (3 * (1 + 4 * lam))
+    else:
+        a2 = t1 / (1 + lam)
+        a3 = (t2 + (1 + 3 * lam) * a2**2) / (2 * (1 + 2 * lam))
+        a4 = (t3 + 3 * (1 + 5 * lam) * a2 * a3 - (1 + 7 * lam) * a2**3) / (3 * (1 + 3 * lam))
+    if len(p) == 3:
+        return a2, a3, a4
+    # order 4; x**4 is taken as (x**2)**2, which numpy does in a third of the time
+    p4 = p[3]
+    u4 = p4 / 2 - (2 * p1 * p3 + p2**2) / 4 + 3 * p1**2 * p2 / 8 - (p1**2)**2 / 16
+    t4 = B1 * u4 + B2 * (2 * u1 * u3 + u2**2) + 3 * B3 * u1**2 * u2 + B4 * (u1**2)**2
+    if operator == "st":
+        a5 = (t4 + (4 + 14 * lam) * a2 * a4 + (2 + 6 * lam) * a3**2
+              - (4 + 10 * lam) * a2**2 * a3 + (1 + 2 * lam) * (a2**2)**2) / (4 * (1 + 5 * lam))
+    else:
+        a5 = (t4 + (4 + 28 * lam) * a2 * a4 + (2 + 16 * lam) * a3**2
+              - (4 + 44 * lam) * a2**2 * a3 + (1 + 15 * lam) * (a2**2)**2) / (4 * (1 + 4 * lam))
+    return a2, a3, a4, a5
 
 
 def implied_q_fast(spec: ClassSpec | FastSpec, a2, a3, a4, a5=None):
-    """Stacked (q1, q2, q3), or (q1, ..., q4) given a5, forced by the inverse-function equations."""
-    a = (a2, a3, a4) if a5 is None else (a2, a3, a4, a5)
-    q = _evaluate(fast_spec(spec).implied[len(a) - 3], a)
-    return np.stack(q, axis=-1) if isinstance(q[0], (np.ndarray, np.generic)) else tuple(q)
+    """Stacked (q1, q2, q3), or (q1, ..., q4) given a5, forced by the inverse-function equations.
+
+    The operator applied to the inverse g of f has coefficients s_n; they
+    are phi(v) - 1 for a Schwarz function v, and q = 2v/(1 - v).
+    """
+    operator, lam, (B1, B2, B3, B4), _ = fast_spec(spec)
+    if operator == "st":
+        s1 = -(1 + 2 * lam) * a2
+        s2 = -2 * (1 + 3 * lam) * a3 + (3 + 10 * lam) * a2**2
+        s3 = -3 * (1 + 4 * lam) * a4 + (12 + 52 * lam) * a2 * a3 - (10 + 46 * lam) * a2**3
+    else:
+        s1 = -(1 + lam) * a2
+        s2 = -2 * (1 + 2 * lam) * a3 + (3 + 5 * lam) * a2**2
+        s3 = -3 * (1 + 3 * lam) * a4 + (12 + 30 * lam) * a2 * a3 - (10 + 22 * lam) * a2**3
+    v1 = s1 / B1
+    v2 = (s2 - B2 * v1**2) / B1
+    v3 = (s3 - 2 * B2 * v1 * v2 - B3 * v1**3) / B1
+    q1 = 2 * v1
+    q2 = 2 * v2 + 2 * v1**2
+    q3 = 2 * v3 + 4 * v1 * v2 + 2 * v1**3
+    if a5 is None:
+        return _stack((q1, q2, q3))
+    if operator == "st":
+        s4 = (-4 * (1 + 5 * lam) * a5 + (20 + 106 * lam) * a2 * a4 + (10 + 54 * lam) * a3**2
+              - (60 + 336 * lam) * a2**2 * a3 + (35 + 204 * lam) * (a2**2)**2)
+    else:
+        s4 = (-4 * (1 + 4 * lam) * a5 + (20 + 68 * lam) * a2 * a4 + (10 + 32 * lam) * a3**2
+              - (60 + 176 * lam) * a2**2 * a3 + (35 + 93 * lam) * (a2**2)**2)
+    v4 = (s4 - B2 * (2 * v1 * v3 + v2**2) - 3 * B3 * v1**2 * v2 - B4 * (v1**2)**2) / B1
+    q4 = 2 * v4 + 4 * v1 * v3 + 2 * v2**2 + 6 * v1**2 * v2 + 2 * (v1**2)**2
+    return _stack((q1, q2, q3, q4))
 
 
 def a5_chain(spec: ClassSpec | FastSpec, p_stack):
