@@ -3,7 +3,8 @@
 A class is a pair (operator, generator).  The two operators are
 
 * ``st``:  z f'/f + lambda z^2 f''/f
-* ``m``:   lambda (1 + z f''/f') + (1 - lambda) z f'/f
+* ``m``:   lambda (1 + z f''/f') + (1 - lambda) z f'/f, expanded as
+  z f'/f + lambda (1 + z f''/f' - z f'/f)
 
 The generator is an analytic function phi(z) = 1 + B1 z + B2 z^2 + ...
 with positive real part and B1 > 0.  Coefficient systems are never
@@ -55,7 +56,7 @@ class MindaGenerator:
         object.__setattr__(self, "B", tuple(self.B))
 
     def series(self, order=DEFAULT_ORDER):
-        """phi truncated at ``order``; exact if every coefficient is rational.
+        """phi truncated at ``order``.
 
         A named family is rebuilt by its rule past the stored coefficients;
         a custom generator's coefficients past B3 are 0.
@@ -63,12 +64,7 @@ class MindaGenerator:
         B = self.B
         if order > len(B) and self.family != "custom":
             B = _FAMILIES[self.family](**self.params, K=order).B
-        coeffs = [1] + list(B[:order])
-        if len(coeffs) < order + 1:
-            coeffs += [0] * (order + 1 - len(coeffs))
-        if all(isinstance(c, (int, Rational)) for c in coeffs):
-            return TruncatedSeries(coeffs, order)
-        return TruncatedSeries([complex(c) for c in coeffs], order)
+        return TruncatedSeries([1, *B[:order]], order)
 
 
 def janowski_coeffs(A, B, K=DEFAULT_ORDER) -> MindaGenerator:
@@ -241,34 +237,26 @@ def apply_operator(spec: ClassSpec, f: TruncatedSeries) -> TruncatedSeries:
     """
     if f.coeffs[0] != 0 or f.coeffs[1] != 1:
         raise SeriesError("operator requires a normalized series (f(0)=0, f'(0)=1)")
-    lam = float(spec.lam) if f.scalar_kind == "float" and isinstance(spec.lam, Rational) else spec.lam
     n_over = f.order - 1
     zfp = TruncatedSeries([k * f.coeffs[k] for k in range(f.order + 1)], f.order)
     if spec.operator == "st":
         z2fpp = TruncatedSeries(
             [k * (k - 1) * f.coeffs[k] for k in range(f.order + 1)], f.order
         )
-        num = (zfp + z2fpp * lam).shift_down()
+        num = (zfp + z2fpp * spec.lam).shift_down()
         return num / f.shift_down()
-    # m-operator: lambda (1 + z f''/f') + (1-lambda) z f'/f
-    fprime = TruncatedSeries(list(f.derivative().coeffs), f.order)
+    # m-operator as z f'/f + lambda (1 + z f''/f' - z f'/f): the constant
+    # term is exactly 1 + lambda * 0, where lambda + (1 - lambda) may round
+    fprime = TruncatedSeries(f.derivative().coeffs, f.order)
     # z f'' has coefficient n(n-1) a_n at z^(n-1)
-    zfpp = TruncatedSeries(
-        [(k + 1) * k * (f.coeffs[k + 1] if k + 1 <= f.order else 0) for k in range(f.order + 1)],
-        f.order,
-    )
-    term_cv = (zfpp / fprime + 1) * lam
-    term_st = (zfp.shift_down() / f.shift_down()) * (1 - lam)
-    return (term_cv.truncate(n_over) + term_st.truncate(n_over))
+    zfpp = TruncatedSeries([(k + 1) * k * f.coeffs[k + 1] for k in range(f.order)], f.order)
+    term_st = (zfp.shift_down() / f.shift_down()).truncate(n_over)
+    return term_st + ((zfpp / fprime).truncate(n_over) + 1 - term_st) * spec.lam
 
 
 def subordination_target(spec: ClassSpec, p: TruncatedSeries) -> TruncatedSeries:
     """phi((p(z)-1)/(p(z)+1)) for a Caratheodory-style series p with p(0)=1."""
-    phi = spec.generator.series(p.order)
-    if phi.scalar_kind != p.scalar_kind and "object" not in (phi.scalar_kind, p.scalar_kind):
-        phi = phi.as_float() if p.scalar_kind == "float" else phi
-        p = p.as_float() if phi.scalar_kind == "float" else p
-    return compose(phi, mobius_to_disk(p))
+    return compose(spec.generator.series(p.order), mobius_to_disk(p))
 
 
 def _solve_normalized(spec: ClassSpec, target: TruncatedSeries) -> TruncatedSeries:
@@ -279,13 +267,11 @@ def _solve_normalized(spec: ClassSpec, target: TruncatedSeries) -> TruncatedSeri
     lambda >= 0, so a zero pivot is an internal fault).
     """
     order = target.order + 1
-    zero = target.coeffs[0] * 0
-    one = zero + 1
-    coeffs = [zero, one] + [zero] * (order - 1)
+    coeffs = [0, 1] + [0] * (order - 1)
     for n in range(2, order + 1):
         base = apply_operator(spec, TruncatedSeries(coeffs, order))
         probe_coeffs = list(coeffs)
-        probe_coeffs[n] = one
+        probe_coeffs[n] = 1
         probe = apply_operator(spec, TruncatedSeries(probe_coeffs, order))
         pivot = probe.coeffs[n - 1] - base.coeffs[n - 1]
         if pivot == 0:
@@ -300,8 +286,7 @@ def solve_coefficients(spec: ClassSpec, p) -> CoefficientVector:
     if len(entries) < 3:
         raise ValueError("need at least (p1, p2, p3)")
     m = len(entries)
-    p_series = TruncatedSeries([entries[0] * 0 + 1] + entries, m)
-    target = subordination_target(spec, p_series)
+    target = subordination_target(spec, TruncatedSeries([1, *entries], m))
     f = _solve_normalized(spec, target)
     a5 = f.coeffs[5] if m >= 4 else None
     return CoefficientVector(f.coeffs[2], f.coeffs[3], f.coeffs[4], a5)
@@ -316,9 +301,6 @@ def implied_q(spec: ClassSpec, a: CoefficientVector):
     """
     target = apply_operator(spec, revert(a.as_series()))
     phi = spec.generator.series(target.order)
-    if phi.scalar_kind != target.scalar_kind and "object" not in (phi.scalar_kind, target.scalar_kind):
-        phi = phi.as_float()
-        target = target.as_float()
     B1 = phi.coeffs[1]
     w = compose(revert((phi - 1) / B1), (target - 1) / B1)
     return ((1 + w) / (1 - w)).coeffs[1:]

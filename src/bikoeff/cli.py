@@ -256,8 +256,7 @@ def _series_text(s: TruncatedSeries, var="z") -> str:
     for n, c in enumerate(s.coeffs):
         if c == 0:
             continue
-        # a decimal parameter gives a complex-kind series with zero imaginary parts
-        text = f"{c.real:.15g}" if isinstance(c, complex) else str(c)
+        text = f"{c:.15g}" if isinstance(c, float) else str(c)
         text = f"({text})" if "/" in text or text.startswith("-") else text
         mono = "" if n == 0 else (var if n == 1 else f"{var}^{n}")
         parts.append(text if not mono else (mono if text == "1" else f"{text} {mono}"))

@@ -2,16 +2,11 @@
 
 Everything in this package that expands a function class operator, a
 generator, or an inverse function runs through :class:`TruncatedSeries`.
-Two scalar backends are supported and never mixed implicitly:
-
-* ``exact`` -- entries are :class:`fractions.Fraction`; every operation is
-  bit-exact, which is what the identity tests require.
-* ``float`` -- entries are ``complex``; this is the fast backend the
-  numerical oracle uses.
-
-Entries of any other type, here :class:`Polynomial`, fall into an
-``object`` kind that mixes with either backend; arithmetic is delegated
-to the entries themselves.
+Its entries are whatever scalars it is given -- :class:`fractions.Fraction`,
+``float``, ``complex`` or :class:`Polynomial` -- and Python's own arithmetic
+mixes them: Fraction entries stay bit-exact, which is what the identity
+tests require, and one float entry makes the results it touches floats.
+An ``int`` entry is taken as a Fraction, so dividing two ints stays exact.
 """
 
 from __future__ import annotations
@@ -19,41 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from numbers import Rational
 
 
 class SeriesError(ValueError):
     pass
-
-
-class SeriesKindError(SeriesError):
-    """Raised when two series with incompatible scalar kinds are combined."""
-
-
-def _kind_of(value):
-    if isinstance(value, (int, Rational)):
-        return "exact"
-    if isinstance(value, (float, complex)):
-        return "float"
-    return "object"
-
-
-def _merge_kinds(a, b):
-    if a == b:
-        return a
-    if "object" in (a, b):
-        return "object"
-    raise SeriesKindError(
-        f"cannot combine {a} and {b} series without explicit promotion"
-    )
-
-
-def _coerce(value, kind):
-    if kind == "exact":
-        return value if isinstance(value, Fraction) else Fraction(value)
-    if kind == "float":
-        return complex(value)
-    return value
 
 
 @dataclass(frozen=True)
@@ -125,7 +89,7 @@ class Polynomial:
 class TruncatedSeries:
     """Coefficients of a formal power series, truncated at ``order`` (inclusive)."""
 
-    __slots__ = ("order", "coeffs", "scalar_kind")
+    __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs, order=None):
         coeffs = list(coeffs)
@@ -133,37 +97,15 @@ class TruncatedSeries:
             order = len(coeffs) - 1
         if order < 0:
             raise SeriesError("order must be nonnegative")
-        if len(coeffs) < order + 1:
-            coeffs = coeffs + [0] * (order + 1 - len(coeffs))
-        coeffs = coeffs[: order + 1]
-        kinds = {_kind_of(c) for c in coeffs}
-        if kinds == {"exact"} or not kinds:
-            kind = "exact"
-        elif kinds <= {"exact", "float"}:
-            kind = "float"
-        else:
-            kind = "object"
-        self.scalar_kind = kind
-        self.coeffs = tuple(_coerce(c, kind) for c in coeffs)
+        coeffs = (coeffs + [0] * (order + 1 - len(coeffs)))[: order + 1]
+        # int / int would give a float; every other scalar is kept as given
+        self.coeffs = tuple(Fraction(c) if isinstance(c, int) else c for c in coeffs)
         self.order = order
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
-    def zero(cls, order, kind="exact"):
-        z = Fraction(0) if kind == "exact" else complex(0)
-        return cls([z] * (order + 1), order)
-
-    @classmethod
-    def identity(cls, order, kind="exact"):
+    def identity(cls, order):
         """The series ``z``."""
-        s = cls.zero(order, kind)
-        return s._replace(1, 1)
-
-    def _replace(self, index, value):
-        coeffs = list(self.coeffs)
-        coeffs[index] = value
-        return TruncatedSeries(coeffs, self.order)
+        return cls([0, 1], order)
 
     # -- helpers -----------------------------------------------------------
 
@@ -184,27 +126,16 @@ class TruncatedSeries:
     def __repr__(self):
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
-    def as_float(self):
-        """Explicit promotion to the complex-float backend."""
-        return TruncatedSeries([complex(c) for c in self.coeffs], self.order)
-
     def truncate(self, order):
         if order > self.order:
             raise SeriesError("cannot extend a truncated series")
-        return TruncatedSeries(list(self.coeffs[: order + 1]), order)
-
-    def _scalar(self, value):
-        # plain ints embed in either backend; anything else must match kinds
-        if isinstance(value, int):
-            return _coerce(value, self.scalar_kind)
-        kind = _merge_kinds(self.scalar_kind, _kind_of(value))
-        return _coerce(value, kind)
+        return TruncatedSeries(self.coeffs[: order + 1], order)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return self._replace(0, self.coeffs[0] + self._scalar(other))
+            return TruncatedSeries([self.coeffs[0] + other, *self.coeffs[1:]], self.order)
         order = min(self.order, other.order)
         return TruncatedSeries(
             [self.coeffs[k] + other.coeffs[k] for k in range(order + 1)], order
@@ -216,17 +147,15 @@ class TruncatedSeries:
         return TruncatedSeries([-c for c in self.coeffs], self.order)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncatedSeries) else -self._scalar(other))
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            s = self._scalar(other)
-            return TruncatedSeries([c * s for c in self.coeffs], self.order)
+            return TruncatedSeries([c * other for c in self.coeffs], self.order)
         order = min(self.order, other.order)
-        _merge_kinds(self.scalar_kind, other.scalar_kind)
         out = []
         for n in range(order + 1):
             acc = sum(self.coeffs[k] * other.coeffs[n - k] for k in range(n + 1))
@@ -237,9 +166,7 @@ class TruncatedSeries:
 
     def __truediv__(self, other):
         if not isinstance(other, TruncatedSeries):
-            s = self._scalar(other)
-            return TruncatedSeries([c / s for c in self.coeffs], self.order)
-        _merge_kinds(self.scalar_kind, other.scalar_kind)
+            return TruncatedSeries([c / other for c in self.coeffs], self.order)
         if other.coeffs[0] == 0:
             raise SeriesError("non-invertible series: zero constant term")
         order = min(self.order, other.order)
@@ -252,17 +179,15 @@ class TruncatedSeries:
         return TruncatedSeries(out, order)
 
     def derivative(self):
-        if self.order == 0:
-            return TruncatedSeries([self.coeffs[0] * 0], 0)
         return TruncatedSeries(
-            [(k + 1) * self.coeffs[k + 1] for k in range(self.order)], self.order - 1
+            [(k + 1) * self.coeffs[k + 1] for k in range(self.order)], max(self.order - 1, 0)
         )
 
     def shift_down(self):
         """Divide by z; requires a zero constant term."""
         if self.coeffs[0] != 0:
             raise SeriesError("cannot divide by z: nonzero constant term")
-        return TruncatedSeries(list(self.coeffs[1:]), self.order - 1)
+        return TruncatedSeries(self.coeffs[1:], self.order - 1)
 
 
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -270,7 +195,7 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     if inner.coeffs[0] != 0:
         raise SeriesError("composition requires inner series with zero constant term")
     order = min(outer.order, inner.order)
-    result = TruncatedSeries([outer.coeffs[order] * 1] + [outer.coeffs[0] * 0] * order, order)
+    result = TruncatedSeries([outer.coeffs[order]], order)
     for k in range(order - 1, -1, -1):
         result = result * inner.truncate(order) + outer.coeffs[k]
     return result
@@ -287,10 +212,9 @@ def revert(f: TruncatedSeries) -> TruncatedSeries:
     if f.coeffs[1] != 1:
         raise SeriesError("reversion requires unit linear coefficient")
     order = f.order
-    zero = f.coeffs[0] * 0
-    ident = TruncatedSeries([zero, f.coeffs[1]] + [zero] * (order - 1), order)
+    ident = TruncatedSeries.identity(order)
     # f is a genuine polynomial here, so padding f' with zeros keeps full order
-    fprime = TruncatedSeries(list(f.derivative().coeffs), order)
+    fprime = TruncatedSeries(f.derivative().coeffs, order)
     g = ident
     for _ in range(order.bit_length() + 2):
         residual = compose(f, g) - ident

@@ -73,7 +73,7 @@ def test_strong_generic_route_is_exact_and_matches_fast_path():
     spec = parse_spec("ss:beta=1/2")
     for seed in range(8):
         p = [Fraction(e.real).limit_denominator(10**6) for e in sample(seed, 4, restrict_real=True).entries]
-        assert subordination_target(spec, TruncatedSeries([1, *p])).scalar_kind == "exact"
+        assert all(type(c) is Fraction for c in subordination_target(spec, TruncatedSeries([1, *p])).coeffs)
         a = solve_coefficients(spec, p)
         q = implied_q(spec, a)
         exact = (a.a2, a.a3, a.a4, a.a5)
@@ -100,36 +100,64 @@ def rational(lo, hi):
     return st.fractions(Fraction(lo), Fraction(hi), max_denominator=12)
 
 
+def fraction_or_float(x):
+    return st.sampled_from([x, float(x)])
+
+
+def rational_or_float(lo, hi):
+    """A rational in [lo, hi], drawn as a Fraction or as its float."""
+    return rational(lo, hi).flatmap(fraction_or_float)
+
+
 def rational_specs():
-    """Random classes with rational parameters, the a5 classes among them."""
+    """Random classes with rational parameters, each a Fraction or a float, the a5 classes among them."""
+    num = rational_or_float
     generators = st.one_of(
-        st.builds(order_coeffs, rational(0, "11/12")),
+        st.builds(order_coeffs, num(0, "11/12")),
+        # filtered as Fractions: A = 1/3, B = float(1/3) passes B < A but rounds B1 = A - B to 0
         st.tuples(rational(-1, 1), rational(-1, 1)).filter(lambda ab: ab[1] < ab[0])
-        .map(lambda ab: janowski_coeffs(*ab)),
-        st.builds(strong_coeffs, rational("1/12", 1)),
-        st.builds(lambda *B: MindaGenerator(B), rational("1/12", 2), rational(-2, 2), rational(-2, 2)),
+        .flatmap(lambda ab: st.tuples(*map(fraction_or_float, ab))).map(lambda ab: janowski_coeffs(*ab)),
+        st.builds(strong_coeffs, num("1/12", 1)),
+        st.builds(lambda *B: MindaGenerator(B), num("1/12", 2), num(-2, 2), num(-2, 2)),
     )
-    a5_generators = st.one_of(st.builds(order_coeffs, rational(0, "1/2")),
-                              st.builds(strong_coeffs, rational("1/2", 1)))
-    return st.one_of(st.builds(ClassSpec, st.sampled_from(["st", "m"]), rational(0, 4), generators),
+    a5_generators = st.one_of(st.builds(order_coeffs, num(0, "1/2")),
+                              st.builds(strong_coeffs, num("1/2", 1)))
+    return st.one_of(st.builds(ClassSpec, st.sampled_from(["st", "m"]), num(0, 4), generators),
                      st.builds(ClassSpec, st.just("st"), st.just(Fraction(0)), a5_generators))
 
 
-@settings(max_examples=80, deadline=None)
-@given(rational_specs(), st.lists(rational(-2, 2), min_size=3, max_size=4))
-def test_fast_path_matches_the_generic_route_at_random_rational_classes(spec, p):
-    # the generic route is exact on rational input; every a_n and q_n to 1e-12 relative
+def assert_fast_path_matches_the_generic_route(spec, p):
+    # every a_n and q_n to 1e-12 relative
     a = solve_coefficients(spec, p)
-    exact = (a.a2, a.a3, a.a4, a.a5)[: len(p)]
-    q = implied_q(spec, a)
-    row = np.array([[float(e) for e in p]])
+    generic = (a.a2, a.a3, a.a4, a.a5)[: len(p)] + tuple(implied_q(spec, a))
+    row = np.array([[e if isinstance(e, complex) else float(e) for e in p]])
     fast = solve_fast(spec, row)
     systems = [(fast, implied_q_fast(spec, *fast))]
     if len(p) == 4 and a5_family(spec):
         systems.append(a5_chain(spec, row))
     for coeffs, qf in systems:
-        for x, y in zip([c[0] for c in coeffs] + list(qf[0]), exact + tuple(q)):
-            assert abs(x - float(y)) <= 1e-12 * max(1.0, abs(float(y)))
+        for x, y in zip([c[0] for c in coeffs] + list(qf[0]), generic):
+            assert abs(x - complex(y)) <= 1e-12 * max(1.0, abs(complex(y)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_specs(), st.lists(rational(-2, 2), min_size=3, max_size=4))
+def test_fast_path_matches_the_generic_route_at_random_rational_classes(spec, p):
+    assert_fast_path_matches_the_generic_route(spec, p)
+
+
+@pytest.mark.parametrize("spec_text", [
+    "st:lambda=0.5:order:rho=0",  # a decimal lambda over an exact generator
+    "m:lambda=1e16:order:rho=0",  # lambda + (1 - lambda) rounds to 0 here
+    "m:lambda=8/3:custom:B1=1.25,B2=-0.5,B3=0.75",  # ... and to 1 - 2**-52 here
+])
+@pytest.mark.parametrize("p", [
+    (Fraction(1, 2), Fraction(-1, 3), Fraction(5, 4), Fraction(-2, 7)),
+    (0.5 + 0.25j, -0.75 + 0.5j, 0.3 - 0.9j, 0.125j),
+])
+def test_generic_route_mixes_exact_and_decimal_scalars(spec_text, p):
+    for m in (3, 4):
+        assert_fast_path_matches_the_generic_route(parse_spec(spec_text), p[:m])
 
 
 def test_a5_chain_rejects_unsupported_specs():

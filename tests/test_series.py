@@ -8,7 +8,6 @@ from bikoeff.series import (
     CoefficientVector,
     Polynomial,
     SeriesError,
-    SeriesKindError,
     TruncatedSeries,
     compose,
     mobius_to_disk,
@@ -29,13 +28,15 @@ def series_st(order=5, first_unit=False):
     return st.lists(fractions_st, min_size=n, max_size=n).map(build)
 
 
-# -- construction and kinds -------------------------------------------------
+# -- construction and scalars ----------------------------------------------
 
 
-def test_kind_inference():
-    assert TruncatedSeries([1, Fraction(1, 2)]).scalar_kind == "exact"
-    assert TruncatedSeries([1.0, 2.0]).scalar_kind == "float"
-    assert TruncatedSeries([1, 2.0]).scalar_kind == "float"
+def test_int_entries_become_fractions_and_other_scalars_are_kept():
+    poly = Polynomial({(0,): 1})
+    s = TruncatedSeries([1, 2.5, 1j, Fraction(1, 2), poly], 5)
+    assert [type(c) for c in s.coeffs] == [Fraction, float, complex, Fraction, Polynomial, Fraction]
+    assert s.coeffs[4] is poly
+    assert TruncatedSeries([1, 3]) / 3 == TruncatedSeries([Fraction(1, 3), 1])
 
 
 def test_zero_padding_and_truncation():
@@ -46,12 +47,20 @@ def test_zero_padding_and_truncation():
         s.truncate(9)
 
 
-def test_mixed_kind_arithmetic_raises():
-    exact = TruncatedSeries([1, Fraction(1, 2)], 3)
-    approx = TruncatedSeries([1.0, 0.5], 3)
-    with pytest.raises(SeriesKindError):
-        exact * approx
-    assert (exact.as_float() * approx).scalar_kind == "float"
+def test_mixed_scalars_give_the_promote_first_result():
+    # Python mixes a Fraction with a complex as complex(Fraction), so no promotion step is needed
+    exact = TruncatedSeries([1, Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11)], 3)
+    approx = TruncatedSeries([1.5 - 0.25j, 0.5j, -1.25 + 0j, 2 + 1j], 3)
+    promoted = TruncatedSeries([complex(c) for c in exact.coeffs], 3)
+    assert exact * approx == promoted * approx
+    assert exact / approx == promoted / approx
+    assert approx / exact == approx / promoted
+    assert compose(exact, approx - approx[0]) == compose(promoted, approx - approx[0])
+    assert compose(approx, exact - 1) == compose(approx, promoted - 1)
+    assert all(type(c) is complex for c in (exact * approx).coeffs)
+    # dyadic entries, so Fraction and float arithmetic agree bit for bit
+    f = TruncatedSeries([0, 1, Fraction(1, 2), 0.25 - 0.5j, Fraction(-3, 4), 0.125j], 5)
+    assert revert(f) == revert(TruncatedSeries([complex(c) for c in f.coeffs], 5))
 
 
 def test_scalar_int_embeds_in_float_backend():
