@@ -248,27 +248,3 @@ def ss_beta_a5(beta: float, variant: str = "stated") -> float:
     else:
         mid = quartic / (b + 1) ** 2
     return (b / 9) * (poly + mid + root)
-
-
-def baseline_starlike_an(rho: float, n: int) -> float:
-    """Classical |a_n| bound for (one-sided) starlike functions of order rho."""
-    if not 0 <= rho < 1:
-        raise ValueError("rho must lie in [0, 1)")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    prod = 1.0
-    for k in range(2, n + 1):
-        prod *= k - 2 * rho
-    return prod / math.factorial(n - 1)
-
-
-def ali_singh_a5(beta: float):
-    """One-sided strongly-starlike |a5| baseline; None when neither regime applies."""
-    if not 0 < beta <= 1:
-        raise ValueError("beta must lie in (0, 1]")
-    b = beta
-    if 38 * b**3 - 30 * b**2 + 16 * b >= 4.5:
-        return (b**2 / 9) * (38 * b**2 + 7)
-    if 228 * b**4 - 194 * b**3 + 2 * b**2 + 39 * b - 9 <= 0:
-        return b / 2
-    return None

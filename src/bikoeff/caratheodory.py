@@ -6,7 +6,8 @@ admissible tuples are generated from atomic probability measures on the
 circle through their trigonometric moments p_n = 2 sum_k w_k e^{-i n theta_k}.
 :func:`atom_moments` takes them as powers of z_k = e^{-i theta_k}: one complex
 exp per atom of positive weight, not one per atom and order, agreeing with
-the latter to 4e-15.
+the latter to 4e-15.  A tuple is any sequence of numbers or one row of an
+array; the module has no wrapper type for it.
 
 With an eigenvalue tolerance, lambda_min(T) >= -tol holds exactly when
 T + tol I is positive semidefinite.  The shifted matrix is again Hermitian
@@ -39,25 +40,6 @@ DEFAULT_MAX_ATOMS = 5
 
 
 @dataclass(frozen=True)
-class CaratheodoryTuple:
-    """Truncated coefficient vector of a positive-real-part function."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        entries = tuple(complex(e) for e in self.entries)
-        if not 1 <= len(entries) <= 4:
-            raise ValueError("tuple length must be between 1 and 4")
-        object.__setattr__(self, "entries", entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-
-@dataclass(frozen=True)
 class AtomicMeasure:
     """Probability measure on the circle: atoms (angle, weight >= 0), weights sum to 1."""
 
@@ -74,14 +56,6 @@ class AtomicMeasure:
             raise ValueError(f"weights sum to {total}, not 1")
         object.__setattr__(self, "atoms", atoms)
 
-    @property
-    def angles(self):
-        return np.array([t for t, _ in self.atoms])
-
-    @property
-    def weights(self):
-        return np.array([w for _, w in self.atoms])
-
 
 def atom_moments(angles, weights, m: int) -> np.ndarray:
     """p_n = 2 sum_k w_k z_k^n, n = 1..m, for z_k = e^{-i theta_k}: (..., K) atoms to (..., m)."""
@@ -97,16 +71,9 @@ def atom_moments(angles, weights, m: int) -> np.ndarray:
     return p
 
 
-def from_atoms(mu: AtomicMeasure, m: int) -> CaratheodoryTuple:
-    """Moment tuple p_n = 2 sum w e^{-i n theta}, n = 1..m; admissible by construction."""
-    if not 1 <= m <= 4:
-        raise ValueError("m must be between 1 and 4")
-    return CaratheodoryTuple(tuple(atom_moments(mu.angles, mu.weights, m)))
-
-
 def toeplitz_matrix(p) -> np.ndarray:
     """Hermitian Toeplitz matrix of the tuple: diagonal 2, off-diagonals p_{k-j}."""
-    entries = [complex(e) for e in (p.entries if isinstance(p, CaratheodoryTuple) else p)]
+    entries = [complex(e) for e in p]
     m = len(entries)
     T = np.empty((m + 1, m + 1), dtype=complex)
     for j in range(m + 1):
@@ -226,9 +193,3 @@ class MeasureSampler:
         p = atom_moments(angles, weights, m)
         p.imag[real_flags] = 0.0
         return p, (angles, weights, real_flags)
-
-
-def sample(rng_seed: int, m: int, max_atoms: int = DEFAULT_MAX_ATOMS, restrict_real: bool = False) -> CaratheodoryTuple:
-    """One admissible tuple, deterministic in the seed."""
-    p, _ = MeasureSampler(rng_seed, max_atoms, restrict_real).moments(1, m)
-    return CaratheodoryTuple(tuple(p[0]))

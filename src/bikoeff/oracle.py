@@ -56,12 +56,10 @@ from .bounds import (
 from .caratheodory import (
     DEFAULT_MAX_ATOMS,
     AtomicMeasure,
-    CaratheodoryTuple,
     MeasureSampler,
     admissible_mask,
     admissible_row,
     atom_moments,
-    from_atoms,
     levinson,
     smallest_eigenvalue,
     toeplitz_matrix,
@@ -610,7 +608,7 @@ def fit_atoms(p) -> AtomicMeasure:
     coefficient exceeds modulus 1 (the tuple lies outside the body) or when
     the moments miss by FIT_TOL or more.
     """
-    entries = [complex(e) for e in (p.entries if isinstance(p, CaratheodoryTuple) else p)]
+    entries = [complex(e) for e in p]
     m = len(entries)
     kappa, boundary = _reflection(entries)
     if not boundary:
@@ -627,10 +625,3 @@ def fit_atoms(p) -> AtomicMeasure:
     if not residual < FIT_TOL:
         raise OracleError(f"no atomic measure reproduces the tuple (residual {residual:.3e})")
     return AtomicMeasure(tuple(zip(theta.tolist(), w.tolist())))
-
-
-def fit_residual(mu: AtomicMeasure, p) -> float:
-    """Max moment error of a fitted measure against the target tuple."""
-    entries = [complex(e) for e in (p.entries if isinstance(p, CaratheodoryTuple) else p)]
-    fitted = from_atoms(mu, len(entries))
-    return max(abs(a - b) for a, b in zip(fitted.entries, entries))

@@ -158,7 +158,10 @@ class TruncatedSeries:
         order = min(self.order, other.order)
         out = []
         for n in range(order + 1):
-            acc = sum(self.coeffs[k] * other.coeffs[n - k] for k in range(n + 1))
+            # an explicit loop, not sum(), which compensates float sums from Python 3.12 on
+            acc = 0
+            for k in range(n + 1):
+                acc = acc + self.coeffs[k] * other.coeffs[n - k]
             out.append(acc)
         return TruncatedSeries(out, order)
 

@@ -1,10 +1,11 @@
 """Helpers that only the tests use: the eigenvalue admissibility test, stacked
-Toeplitz matrices, the scaling of a tuple and a one-shot oracle search."""
+Toeplitz matrices, sampled tuples, the moments of a measure, the scaling of a
+tuple and a one-shot oracle search."""
 
 import numpy as np
 
 from bikoeff import oracle
-from bikoeff.caratheodory import CaratheodoryTuple, smallest_eigenvalue
+from bikoeff.caratheodory import MeasureSampler, atom_moments, smallest_eigenvalue
 
 
 def is_admissible(p, tol: float = 1e-9) -> bool:
@@ -26,9 +27,26 @@ def toeplitz_batch(p_stack: np.ndarray) -> np.ndarray:
     return T
 
 
-def scaled(p: CaratheodoryTuple, t) -> CaratheodoryTuple:
+def sample(seed: int, m: int, restrict_real: bool = False) -> tuple:
+    """One admissible tuple of Python complex: the first row of the sampler's stream."""
+    p, _ = MeasureSampler(seed, restrict_real=restrict_real).moments(1, m)
+    return tuple(complex(e) for e in p[0])
+
+
+def moments(mu, m: int) -> tuple:
+    """p_1, ..., p_m of an ``AtomicMeasure``; admissible by construction."""
+    angles, weights = np.array(mu.atoms).T
+    return tuple(complex(e) for e in atom_moments(angles, weights, m))
+
+
+def fit_residual(mu, p) -> float:
+    """Max moment error of a fitted measure against the target tuple."""
+    return max(abs(a - complex(b)) for a, b in zip(moments(mu, len(p)), p))
+
+
+def scaled(p, t) -> tuple:
     """The tuple t p."""
-    return CaratheodoryTuple(tuple(t * e for e in p.entries))
+    return tuple(t * e for e in p)
 
 
 def one_shot_search(spec, target_index, config):

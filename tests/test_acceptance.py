@@ -13,14 +13,14 @@ from fractions import Fraction
 import pytest
 
 from bikoeff.bounds import ss_beta_a5, st_rho_a5
-from bikoeff.caratheodory import sample, smallest_eigenvalue
+from bikoeff.caratheodory import smallest_eigenvalue
 from bikoeff.classes import ClassSpec, apply_operator, janowski_coeffs, parse_spec
 from bikoeff.cli import main
-from bikoeff.oracle import SearchConfig, check_a5_system, fit_atoms, fit_residual, max_coeff
+from bikoeff.oracle import SearchConfig, check_a5_system, fit_atoms, max_coeff
 from bikoeff.series import CoefficientVector, revert
 
 from conftest import random_fraction
-from helpers import is_admissible, scaled
+from helpers import fit_residual, is_admissible, sample, scaled
 from test_classes import m_lhs, m_lhs_inverse, st_lhs, st_lhs_inverse
 
 

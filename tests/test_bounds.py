@@ -2,19 +2,26 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bikoeff.bounds import (
     BoundBreakdown,
     DegenerateBoundError,
-    ali_singh_a5,
-    baseline_starlike_an,
     class_bounds,
     m_bounds,
     ss_beta_a5,
     st_bounds,
     st_rho_a5,
 )
-from bikoeff.classes import ClassSpec, MindaGenerator, parse_spec
+from bikoeff.classes import (
+    ClassSpec,
+    MindaGenerator,
+    janowski_coeffs,
+    order_coeffs,
+    parse_spec,
+    strong_coeffs,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -64,6 +71,33 @@ def test_order_family_closed_forms_on_grid():
         assert abs(a2 - math.sqrt(B1)) < 1e-12
         assert abs(a3 - B1) < 1e-12
         assert abs(a4 - (B1 / 3 + 2 * B1**1.5 / 3)) < 1e-12
+
+
+# -- the whole parameter space (hypothesis) ---------------------------------
+
+
+def reals(lo, hi):
+    return st.one_of(st.fractions(lo, hi, max_denominator=12), st.floats(lo, hi))
+
+
+LAMBDAS = st.one_of(st.fractions(0, 10, max_denominator=12), st.floats(0, 1e300))
+GENERATORS = st.one_of(
+    st.tuples(reals(-1, 1), reals(-1, 1)).filter(lambda ba: ba[0] < ba[1])
+    .map(lambda ba: janowski_coeffs(ba[1], ba[0])),
+    reals(0, 1).filter(lambda rho: rho < 1).map(order_coeffs),
+    reals(0, 1).filter(lambda beta: beta > 0).map(strong_coeffs),
+    st.tuples(reals(0, 10).filter(lambda b1: b1 > 0), reals(-10, 10), reals(-10, 10)).map(MindaGenerator),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("st", "m")), LAMBDAS, GENERATORS)
+def test_bounds_are_finite_and_nonnegative_or_degenerate(op, lam, gen):
+    try:
+        bounds = class_bounds(ClassSpec(op, lam, gen))
+    except DegenerateBoundError:
+        return
+    assert all(math.isfinite(b.value) and b.value >= 0 for b in bounds)
 
 
 # -- branch structure --------------------------------------------------------
@@ -192,21 +226,3 @@ def test_a5_domain_and_variant_validation():
         ss_beta_a5(0.4)
     with pytest.raises(ValueError):
         ss_beta_a5(0.7, "wrong")
-
-
-# -- one-sided baselines -----------------------------------------------------
-
-
-def test_baseline_starlike():
-    assert baseline_starlike_an(0, 5) == 5
-    for n in range(2, 6):
-        assert abs(baseline_starlike_an(0.5, n) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        baseline_starlike_an(1.5, 3)
-
-
-def test_one_sided_strong_a5():
-    assert abs(ali_singh_a5(1.0) - 5.0) < 1e-12
-    assert abs(ali_singh_a5(0.5) - 33.0 / 72.0) < 1e-12
-    small = ali_singh_a5(0.1)
-    assert small == pytest.approx(0.05)

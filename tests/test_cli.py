@@ -270,6 +270,19 @@ def test_verify_a5_both_variants(capsys):
     assert proven == {"stated": False, "rederived": True}
 
 
+@pytest.mark.parametrize("target", ["a2", "a3", "a4"])
+def test_verify_at_a_large_float_lambda(capsys, target):
+    # lambda + (1 - lambda) rounds to 0 at 1e16.  The bounds are ~1e-16, far
+    # below the absolute tol_violation, so the bound is also checked relatively
+    code, out, _ = run(capsys, "verify", "m:lambda=1e16:order:rho=0", "--target", target,
+                       "--samples", "500", "--format", "json")
+    assert code == 0
+    [row] = json.loads(out)["rows"]
+    assert row["proven"] and not row["violated"]
+    assert row["bound"] < 1e-15
+    assert 0 < row["oracle_best"] <= row["bound"] * (1 + 1e-9)
+
+
 def test_verify_a5_unsupported_family(capsys):
     code, _, _ = run(capsys, "verify", "m:lambda=1:order:rho=0", "--target", "a5")
     assert code == 1

@@ -13,7 +13,7 @@ from scipy.optimize import minimize
 
 from bikoeff import caratheodory, cli, oracle
 from bikoeff.bounds import BoundBreakdown, a5_family
-from bikoeff.caratheodory import MeasureSampler, atom_moments, sample, smallest_eigenvalue
+from bikoeff.caratheodory import MeasureSampler, atom_moments, smallest_eigenvalue
 from bikoeff.classes import (
     ClassSpec,
     MindaGenerator,
@@ -31,14 +31,13 @@ from bikoeff.oracle import (
     a5_chain,
     check_a5_system,
     fit_atoms,
-    fit_residual,
     implied_q_fast,
     max_coeff,
     solve_fast,
 )
 from bikoeff.series import TruncatedSeries
 
-from helpers import one_shot_search, scaled, toeplitz_batch
+from helpers import fit_residual, one_shot_search, sample, scaled, toeplitz_batch
 
 SPECS = (
     "st:lambda=0:order:rho=0",
@@ -58,9 +57,9 @@ def test_fast_path_matches_generic(spec_text):
     spec = parse_spec(spec_text)
     for m, seed in itertools.product((3, 4), range(8)):
         p = sample(seed, m)
-        a = solve_coefficients(spec, p.entries)
+        a = solve_coefficients(spec, p)
         q = implied_q(spec, a)
-        fast = solve_fast(spec, np.array([p.entries]))
+        fast = solve_fast(spec, np.array([p]))
         qf = implied_q_fast(spec, *fast)[0]
         exact = (a.a2, a.a3, a.a4, a.a5)[:m]
         assert len(fast) == len(qf) == len(q) == m
@@ -72,7 +71,7 @@ def test_strong_generic_route_is_exact_and_matches_fast_path():
     # rational beta gives exact B1..B6, so a rational tuple keeps the generic route exact
     spec = parse_spec("ss:beta=1/2")
     for seed in range(8):
-        p = [Fraction(e.real).limit_denominator(10**6) for e in sample(seed, 4, restrict_real=True).entries]
+        p = [Fraction(e.real).limit_denominator(10**6) for e in sample(seed, 4, restrict_real=True)]
         assert all(type(c) is Fraction for c in subordination_target(spec, TruncatedSeries([1, *p])).coeffs)
         a = solve_coefficients(spec, p)
         q = implied_q(spec, a)
@@ -89,9 +88,9 @@ def test_a5_chain_matches_generic(spec_text):
     spec = parse_spec(spec_text)
     for seed in range(8):
         p = sample(seed, 4)
-        a = solve_coefficients(spec, p.entries)
+        a = solve_coefficients(spec, p)
         q = implied_q(spec, a)
-        (a2, a3, a4, a5), l = a5_chain(spec, np.array([p.entries]))
+        (a2, a3, a4, a5), l = a5_chain(spec, np.array([p]))
         assert abs(a5[0] - complex(a.a5)) < 1e-10
         assert all(abs(x - complex(y)) < 1e-9 for x, y in zip(l[0], q))
 
@@ -346,7 +345,7 @@ def test_reflection_reports_the_boundary_where_kappa_has_modulus_one(case, data)
 
 def test_closed_forms_keep_array_shapes():
     spec = parse_spec("st:lambda=1/2:order:rho=1/4")
-    p = np.stack([sample(s, 4).entries for s in range(6)])
+    p = np.stack([sample(s, 4) for s in range(6)])
     a2, a3, a4 = solve_fast(spec, p[:, :3])
     assert a2.shape == (6,) and implied_q_fast(spec, a2, a3, a4).shape == (6, 3)
     assert implied_q_fast(spec, a2[0], a3[0], a4[0]).shape == (3,)
