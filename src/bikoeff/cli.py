@@ -221,6 +221,7 @@ def verify_rows(spec: ClassSpec, targets, config: SearchConfig):
                 "slack": _sig15(v["slack"]),
                 "violated": bool(v["violated"]),
                 "proven": v["proven"],
+                "feasible": rep.feasible_count,
             })
         if rep.violated:
             witnesses.append(rep.argmax)
@@ -238,7 +239,7 @@ def _emit_verdict(doc: ReportDocument, args, witnesses) -> int:
 def cmd_verify(args) -> int:
     spec = parse_spec(args.spec)
     if args.target == "all":
-        targets = ["a2", "a3", "a4"] + (["a5"] if a5_family(spec) else [])
+        targets = list(TARGETS) + (["a5"] if a5_family(spec) else [])
     else:
         targets = [args.target]
     config = _search_config(args)
@@ -351,7 +352,7 @@ GRID_RHOS = (Fraction(0), Fraction(1, 4), Fraction(1, 2))
 GRID_BETAS = (Fraction(1, 2), Fraction(3, 4), Fraction(1))
 # (spec, targets) in report row order: a2-a4 over the operator grid, then a5
 REPORT_GRID = (
-    [(f"{op}:lambda={lam}:order:rho={rho}", ["a2", "a3", "a4"])
+    [(f"{op}:lambda={lam}:order:rho={rho}", list(TARGETS))
      for op in ("st", "m") for lam in GRID_LAMBDAS for rho in GRID_RHOS]
     + [(f"st:lambda=0:order:rho={rho}", ["a5"]) for rho in GRID_RHOS]
     + [(f"ss:beta={beta}", ["a5"]) for beta in GRID_BETAS]
@@ -485,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="stress-test bounds against the sampling oracle")
     p.add_argument("spec")
-    p.add_argument("--target", choices=("a2", "a3", "a4", "a5", "all"), default="all")
+    p.add_argument("--target", choices=(*COEFF_NAMES, "all"), default="all")
     _add_oracle_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_verify)

@@ -54,7 +54,6 @@ from .bounds import (
     st_rho_a5,
 )
 from .caratheodory import (
-    DEFAULT_MAX_ATOMS,
     AtomicMeasure,
     MeasureSampler,
     admissible_mask,
@@ -94,7 +93,6 @@ class SearchConfig:
     tol_feasible: float = 1e-7
     tol_violation: float = 1e-8
     restrict_real: bool = False
-    max_atoms: int = DEFAULT_MAX_ATOMS
 
     def __post_init__(self):
         if self.seed < 0:
@@ -105,8 +103,6 @@ class SearchConfig:
             raise ValueError("refine_top must be >= 0")
         if self.refine_steps < 0:
             raise ValueError("refine_steps must be >= 0")
-        if self.max_atoms < 1:
-            raise ValueError("max_atoms must be >= 1")
         if not all(math.isfinite(t) and t >= 0 for t in (self.tol_feasible, self.tol_violation)):
             raise ValueError("tolerances must be finite and >= 0")
 
@@ -147,7 +143,6 @@ class FastSpec(NamedTuple):
     operator: str
     lam: float
     B: tuple  # (B1, B2, B3, B4); B4 = 0 for a generator given by B1..B3
-    a5: tuple | None  # bounds.a5_family(spec)
 
 
 def fast_spec(spec) -> FastSpec:
@@ -155,7 +150,7 @@ def fast_spec(spec) -> FastSpec:
     if isinstance(spec, FastSpec):
         return spec
     B = (*spec.generator.B, 0)[:4]  # MindaGenerator.series pads a missing B4 with 0
-    return FastSpec(spec.operator, float(spec.lam), tuple(float(b) for b in B), a5_family(spec))
+    return FastSpec(spec.operator, float(spec.lam), tuple(float(b) for b in B))
 
 
 def _columns(p):
@@ -181,7 +176,7 @@ def solve_fast(spec: ClassSpec | FastSpec, p_stack):
     u = (p - 1)/(p + 1), and the operator's z^(n-1) coefficient, solved for
     a_n, gives a_n.
     """
-    operator, lam, (B1, B2, B3, B4), _ = fast_spec(spec)
+    operator, lam, (B1, B2, B3, B4) = fast_spec(spec)
     p = _columns(p_stack)
     p1, p2, p3 = p[:3]
     u1 = p1 / 2
@@ -219,7 +214,7 @@ def implied_q_fast(spec: ClassSpec | FastSpec, a2, a3, a4, a5=None):
     The operator applied to the inverse g of f has coefficients s_n; they
     are phi(v) - 1 for a Schwarz function v, and q = 2v/(1 - v).
     """
-    operator, lam, (B1, B2, B3, B4), _ = fast_spec(spec)
+    operator, lam, (B1, B2, B3, B4) = fast_spec(spec)
     if operator == "st":
         s1 = -(1 + 2 * lam) * a2
         s2 = -2 * (1 + 3 * lam) * a3 + (3 + 10 * lam) * a2**2
@@ -248,14 +243,12 @@ def implied_q_fast(spec: ClassSpec | FastSpec, a2, a3, a4, a5=None):
 
 
 def a5_chain(spec: ClassSpec | FastSpec, p_stack):
-    """(a2..a5, implied (q1..q4)) for the classes :func:`bounds.a5_family` admits.
+    """(a2..a5, implied (q1..q4)) from stacked (p1, ..., p4) tuples, for every class.
 
     The a5 search calls the order-4 systems by this name, where the
     benchmark's span tracer (``bench/spans.py``) wraps it.
     """
     fast = fast_spec(spec)
-    if fast.a5 is None:
-        raise OracleError(A5_UNAVAILABLE)
     coeffs = solve_fast(fast, p_stack)
     return coeffs, implied_q_fast(fast, *coeffs)
 
@@ -495,7 +488,7 @@ def _search(spec, target_index, config):
     for its witness.
     """
     m = 4 if target_index == 3 else 3
-    sampler = MeasureSampler(config.seed, config.max_atoms, config.restrict_real)
+    sampler = MeasureSampler(config.seed, restrict_real=config.restrict_real)
     n_feasible, any_finite = 0, False
     best_value, best = -math.inf, None
     candidates = []  # (-value, index, p row, real flag), at most refine_top of them

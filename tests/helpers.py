@@ -59,7 +59,7 @@ def one_shot_search(spec, target_index, config):
     unstable ``argsort`` of the whole array leaves unspecified.
     """
     m = 4 if target_index == 3 else 3
-    sampler = oracle.MeasureSampler(config.seed, config.max_atoms, config.restrict_real)
+    sampler = oracle.MeasureSampler(config.seed, restrict_real=config.restrict_real)
     p, (_, _, real_flags) = sampler.moments(config.samples, m)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         coeffs, q = oracle._system(spec, p)

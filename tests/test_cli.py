@@ -12,7 +12,7 @@ from bikoeff import cli, oracle
 from bikoeff.bounds import BoundBreakdown, a5_family
 from bikoeff.classes import apply_operator, parse_spec
 from bikoeff.cli import ReportDocument, main
-from bikoeff.oracle import SearchConfig
+from bikoeff.oracle import SearchConfig, check_a5_system, max_coeff
 from bikoeff.series import TruncatedSeries, revert
 
 
@@ -115,7 +115,6 @@ def test_overflowing_implied_tuples_exit_one_without_warnings(capsys):
     (("bounds", "st:lambda=0:custom:B1=-1,B2=1,B3=1"), "B1 > 0"),
     (("bounds", "st:lambda=1e400:order:rho=0"), "bad number '1e400'"),
     (("bounds", "st:lambda=1e308:order:rho=0"), "not finite"),
-    (("verify", "st:lambda=0:order:rho=0", "--max-atoms", "0"), "max_atoms must be >= 1"),
     (("bounds", "st:lambda=0:order:rho=0", "--out", "{missing}"), "cannot write output"),
 ])
 def test_user_input_errors_exit_one(capsys, tmp_path, argv, message):
@@ -268,6 +267,25 @@ def test_verify_a5_both_variants(capsys):
     assert {r["variant"] for r in rows} == {"stated", "rederived"}
     proven = {r["variant"]: r["proven"] for r in rows}
     assert proven == {"stated": False, "rederived": True}
+
+
+def oracle_report(spec, target, config):
+    return check_a5_system(spec, config) if target == "a5" else max_coeff(spec, target, config)
+
+
+def test_verify_rows_carry_the_feasible_count(capsys):
+    config = SearchConfig(seed=4, samples=600, refine_top=1, refine_steps=20)
+    spec = parse_spec("st:lambda=0:order:rho=1/4")
+    code, out, _ = run(capsys, "verify", spec.text(), "--seed", "4", "--samples", "600",
+                       "--refine-top", "1", "--refine-steps", "20", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["coefficient"] for row in rows] == ["a2", "a3", "a4", "a5", "a5"]
+    for row in rows:
+        target = row["coefficient"]
+        rep = oracle_report(spec, target, config)
+        assert row["feasible"] == rep.feasible_count
+        assert 1 <= row["feasible"] <= config.samples
 
 
 @pytest.mark.parametrize("target", ["a2", "a3", "a4"])
@@ -551,6 +569,25 @@ def test_report_grid_small(capsys):
     assert len(specs) == 21  # 18 operator grid + 3 strong a5 (order a5 overlaps)
     assert len(doc["rows"]) == 18 * 3 + 6 * 2
     assert all(not row["violated"] for row in doc["rows"] if row["proven"])
+
+
+def test_report_rows_equal_the_oracle_reports(capsys):
+    # report is the one soundness run: its rows are the oracle's reports at the same config
+    config = SearchConfig(seed=2024, samples=300, refine_top=2, refine_steps=20)
+    code, out, _ = run(capsys, "report", "--seed", "2024", "--samples", "300", "--refine-top", "2",
+                       "--refine-steps", "20", "--format", "json")
+    assert code == 0
+    rows = {(row["spec"], row["coefficient"], row["variant"]): row for row in json.loads(out)["rows"]}
+    for spec_text, target in [("m:lambda=1/2:order:rho=1/4", "a4"), ("ss:beta=3/4", "a5")]:
+        spec = parse_spec(spec_text)
+        rep = oracle_report(spec, target, config)
+        for name, v in rep.variants.items():
+            row = rows[(spec.text(), target, name)]
+            assert row["oracle_best"] == cli._sig15(rep.best_value)
+            assert row["bound"] == cli._sig15(v["bound"])
+            assert row["slack"] == cli._sig15(v["slack"])
+            assert (row["violated"], row["proven"]) == (v["violated"], v["proven"])
+            assert row["feasible"] == rep.feasible_count
 
 
 def test_report_violation_prints_witnesses(capsys, tiny_bounds):
