@@ -21,9 +21,8 @@ with lambda_min = -tol to within rounding can be decided differently from
 recursion's temporaries stay small.  :func:`levinson` is the one copy of
 the recursion: it takes arrays of rows or one row of Python scalars, and
 runs forward (data to reflection coefficients) or inverse, so the same
-steps, rounded the same way, serve the mask, its one-row form
-:func:`admissible_row` that gates the refinement objective, and the
-oracle's reflection-coefficient maps and measure recovery.
+steps, rounded the same way, serve the mask, the oracle's reflection maps
+and measure recovery, and the refinement objective traced from it.
 
 :class:`MeasureSampler` draws any contiguous run of rows of its stream on
 its own (``start``), bit for bit as a single draw of all rows gives them,
@@ -134,18 +133,6 @@ def admissible_mask(p_stack: np.ndarray, tol: float) -> np.ndarray:
         for _, _, err, _ in levinson([2.0 + tol, *r], [None] * len(r)):
             ok &= err > 0
     return ok
-
-
-def admissible_row(q, tol: float) -> bool:
-    """:func:`admissible_mask` on one row of Python scalars, in Python arithmetic.
-
-    False at the first prediction error that is not positive, which
-    includes rows holding NaN or inf; the recursion stops there.
-    """
-    for _, _, err, _ in levinson([2.0 + tol, *(c.conjugate() for c in q)], [None] * len(q)):
-        if not err > 0:
-            return False
-    return True
 
 
 class MeasureSampler:

@@ -20,21 +20,21 @@ operator, solved order by order.  Order 3 gives a2..a4 and the implied
 (q1, q2, q3); order 4 adds a5 and q4.  The generic series route in
 :mod:`bikoeff.classes` is the reference the tests check them against.
 The best candidates are polished over their reflection (Schur)
-coefficients, where every point lies in the closed body
-(:func:`_from_reflection`), by scipy's Nelder-Mead algorithm run on
-Python floats (:func:`_nelder_mead`; scipy itself is needed only by the
-tests that compare the two).  Its objective takes the systems on one
-row of Python scalars, since a one-row numpy array would pay array
-overhead on every operation, and calls ``eigvalsh`` only where
-:func:`caratheodory.admissible_row` does not find the implied tuple
-admissible.  The polish aims POLISH_MARGIN inside the feasibility
-tolerance, so that the polished point passes the re-check at -tol, and
-:func:`fit_atoms` gives a polished point its witness measure.
+coefficients, where every point lies in the closed body (:func:`_kappa`,
+:func:`_from_reflection`), by scipy's Nelder-Mead algorithm run on Python
+floats (:func:`_nelder_mead`; scipy itself is needed only by the tests
+that compare the two).  Its objective is straight-line Python traced from
+this module's scalar code (:func:`_polish_kernel`), with the same floats;
+it calls ``eigvalsh`` only where the one-row Levinson gate finds the
+implied tuple inadmissible.  The polish aims POLISH_MARGIN inside the
+feasibility tolerance, so that the polished point passes the re-check at
+-tol, and :func:`fit_atoms` gives a polished point its witness measure.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -43,6 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._kernel import trace
 from .bounds import (
     A5_UNAVAILABLE,
     PROVEN_A5_VARIANTS,
@@ -57,7 +58,6 @@ from .caratheodory import (
     AtomicMeasure,
     MeasureSampler,
     admissible_mask,
-    admissible_row,
     atom_moments,
     levinson,
     smallest_eigenvalue,
@@ -297,17 +297,19 @@ def _to_reflection(p, real):
             + [math.atan2(k.imag, k.real) for k in kappa])
 
 
-def _from_reflection(x, real):
-    """The tuple (p_1..p_m) at polish coordinates x, by the inverse :func:`levinson` steps.
-
-    Every x maps into the closed body, since every |kappa_k| <= 1.  A
-    ``real`` x gives a list of floats, any other a list of complex.
-    """
+def _kappa(x, real):
+    """The reflection coefficients at polish coordinates x (:func:`_to_reflection`)."""
     if real:
-        kappa = [math.sin(s) for s in x]
-    else:
-        m = len(x) // 2
-        kappa = [cmath.rect(math.sin(s) ** 2, phi) for s, phi in zip(x[:m], x[m:])]
+        return [math.sin(s) for s in x]
+    m = len(x) // 2
+    return [cmath.rect(math.sin(s) ** 2, phi) for s, phi in zip(x[:m], x[m:])]
+
+
+def _from_reflection(kappa):
+    """The tuple (p_1..p_m) with reflection coefficients kappa, by the inverse :func:`levinson` steps.
+
+    It lies in the closed body where every |kappa_k| <= 1, as at every polish point (:func:`_kappa`).
+    """
     return [2 * r.conjugate() for _, r, _, _ in levinson([1.0] + [None] * len(kappa), kappa)]
 
 
@@ -327,20 +329,39 @@ def _system(spec, p):
     return (a2, a3, a4), implied_q_fast(spec, a2, a3, a4)
 
 
+@functools.cache
+def _polish_kernel(operator, target_index, real):
+    """``build(lam, B1, B2, B3, B4, tol)``, traced from the objective's scalar steps (:mod:`bikoeff._kernel`).
+
+    Its kernel maps kappa to (-|a_target|, None), or to (-|a_target|, q) at
+    the first prediction error of T + tol I that is not positive.
+    """
+    def steps(params, kappa, gate):
+        lam, *B, tol = params
+        coeffs, q = _system(FastSpec(operator, lam, tuple(B)), _from_reflection(kappa))
+        value = -abs(coeffs[target_index])
+        for _, _, err, _ in levinson([2.0 + tol, *(c.conjugate() for c in q)], [None] * len(q)):
+            gate(err, value, q)
+        return value, None
+
+    kinds = [float if real else complex] * (4 if target_index == 3 else 3)
+    return trace(steps, ("lam", "B1", "B2", "B3", "B4", "tol"), kinds)
+
+
 def _objective(spec, target_index, tol, real=False):
     """Refinement objective at polish coordinates x (:func:`_to_reflection`), a list of floats.
 
     -|a_target| of the tuple x stands for, plus a penalty of 1e4 per unit
     by which lambda_min of the implied tuple's Toeplitz matrix falls below
-    -tol.  Where the implied tuple passes :func:`admissible_row` there is
-    no penalty; only the other points pay for ``eigvalsh``, which sizes it.
+    -tol.  Only the points whose implied tuple fails the Levinson gate of
+    :func:`_polish_kernel` pay for ``eigvalsh``, which sizes the penalty.
     """
     fast = fast_spec(spec)
+    kernel = _polish_kernel(fast.operator, target_index, real)(fast.lam, *fast.B, tol)
 
     def objective(x):
-        coeffs, q = _system(fast, _from_reflection(x, real))
-        value = -abs(coeffs[target_index])
-        if admissible_row(q, tol):
+        value, q = kernel(*_kappa(x, real))
+        if q is None:
             return value
         lam_min = np.linalg.eigvalsh(toeplitz_matrix(q))[0]
         return value + 1e4 * max(0.0, -(lam_min + tol))
@@ -473,7 +494,7 @@ def _refine(spec, target_index, p0, config, real):
     x0 = _to_reflection(p0, real)
     res = minimize(objective, x0, method=_nelder_mead,
                    options={"maxiter": config.refine_steps * len(x0), "xatol": 1e-10, "fatol": 1e-12})
-    return np.array(_from_reflection(res.x.tolist(), real), dtype=complex)
+    return np.array(_from_reflection(_kappa(res.x.tolist(), real)), dtype=complex)
 
 
 def _search(spec, target_index, config):

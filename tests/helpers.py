@@ -1,11 +1,18 @@
-"""Helpers that only the tests use: the eigenvalue admissibility test, stacked
-Toeplitz matrices, sampled tuples, the moments of a measure, the scaling of a
-tuple and a one-shot oracle search."""
+"""Helpers that only the tests use: the eigenvalue admissibility test, its
+one-row Levinson gate, the interpreted polish objective, stacked Toeplitz
+matrices, sampled tuples, the moments of a measure, the scaling of a tuple and
+a one-shot oracle search."""
 
 import numpy as np
 
 from bikoeff import oracle
-from bikoeff.caratheodory import MeasureSampler, atom_moments, smallest_eigenvalue
+from bikoeff.caratheodory import (
+    MeasureSampler,
+    atom_moments,
+    levinson,
+    smallest_eigenvalue,
+    toeplitz_matrix,
+)
 
 
 def is_admissible(p, tol: float = 1e-9) -> bool:
@@ -13,6 +20,37 @@ def is_admissible(p, tol: float = 1e-9) -> bool:
     if tol < 0:
         raise ValueError("tol must be >= 0")
     return smallest_eigenvalue(p) >= -tol
+
+
+def admissible_row(q, tol: float) -> bool:
+    """:func:`admissible_mask` on one row of Python scalars, in Python arithmetic.
+
+    False at the first prediction error that is not positive, which
+    includes rows holding NaN or inf; the recursion stops there.
+    """
+    for _, _, err, _ in levinson([2.0 + tol, *(c.conjugate() for c in q)], [None] * len(q)):
+        if not err > 0:
+            return False
+    return True
+
+
+def reference_objective(spec, target_index, tol, real):
+    """The polish objective interpreted step by step: the reference for the traced kernel.
+
+    The tuple at x (``_kappa``, ``_from_reflection``), its system, the
+    :func:`admissible_row` gate and, where it fails, the ``eigvalsh`` penalty.
+    """
+    fast = oracle.fast_spec(spec)
+
+    def objective(x):
+        coeffs, q = oracle._system(fast, oracle._from_reflection(oracle._kappa(x, real)))
+        value = -abs(coeffs[target_index])
+        if admissible_row(q, tol):
+            return value
+        lam_min = np.linalg.eigvalsh(toeplitz_matrix(q))[0]
+        return value + 1e4 * max(0.0, -(lam_min + tol))
+
+    return objective
 
 
 def toeplitz_batch(p_stack: np.ndarray) -> np.ndarray:

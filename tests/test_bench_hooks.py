@@ -4,12 +4,14 @@
 package's modules; a renamed or removed name makes
 ``bench/run.py --trace 1`` fail, so a refactor of ``src/`` checks it here.
 A refined ``verify`` must also reach the wrappers that split the
-refinement into layers, so the per-layer metrics stay attributed.
+refinement into layers, so the per-layer metrics stay attributed; the
+polish reaches the one-row closed forms while it traces its kernel, once
+per structure and process, so the kernel cache starts empty here.
 """
 
 from pathlib import Path
 
-from bikoeff import cli
+from bikoeff import cli, oracle
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -28,6 +30,7 @@ def test_refinement_reaches_the_layer_wrappers(monkeypatch, tmp_path):
 
     refine = ["--samples", "2000", "--refine-top", "1", "--refine-steps", "5",
               "--out", str(tmp_path / "out.txt")]
+    oracle._polish_kernel.cache_clear()
     with Tracer() as tracer:
         assert cli.main(["verify", "st:lambda=0:order:rho=0", "--target", "a2", *refine]) == 0
         assert cli.main(["verify", "ss:beta=3/4", "--target", "a5", *refine]) == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bikoeff import caratheodory, oracle
+from bikoeff import oracle
 from bikoeff.caratheodory import (
     AtomicMeasure,
     MeasureSampler,
@@ -19,7 +19,7 @@ from bikoeff.caratheodory import (
 from bikoeff.classes import parse_spec
 from bikoeff.oracle import a5_chain, implied_q_fast, solve_fast
 
-from helpers import is_admissible, moments, sample, scaled, toeplitz_batch
+from helpers import admissible_row, is_admissible, moments, sample, scaled, toeplitz_batch
 
 
 # -- tuples and matrices -----------------------------------------------------
@@ -325,8 +325,8 @@ def test_mask_property_random_rows(p, tol):
 
 
 def scalar_mask(p_stack, tol):
-    """caratheodory.admissible_row row by row on tuples of Python complex, as the refinement calls it."""
-    return np.array([caratheodory.admissible_row(tuple(complex(e) for e in row), tol) for row in p_stack])
+    """helpers.admissible_row row by row on tuples of Python complex, the refinement's gate."""
+    return np.array([admissible_row(tuple(complex(e) for e in row), tol) for row in p_stack])
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -348,7 +348,7 @@ def test_gate_stops_before_a_zero_prediction_error():
     q = (2.25 + 0j, 0j, 0j)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert caratheodory.admissible_row(q, 0.25) is False
+        assert admissible_row(q, 0.25) is False
         assert admissible_mask(np.array([q]), 0.25).tolist() == [False]
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from bikoeff import caratheodory, cli, oracle
+from bikoeff import _kernel, caratheodory, cli, oracle
 from bikoeff.bounds import BoundBreakdown
 from bikoeff.caratheodory import MeasureSampler, atom_moments, smallest_eigenvalue
 from bikoeff.classes import (
@@ -37,7 +37,15 @@ from bikoeff.oracle import (
 )
 from bikoeff.series import TruncatedSeries
 
-from helpers import fit_residual, one_shot_search, sample, scaled, toeplitz_batch
+from helpers import (
+    admissible_row,
+    fit_residual,
+    one_shot_search,
+    reference_objective,
+    sample,
+    scaled,
+    toeplitz_batch,
+)
 
 SPECS = (
     "st:lambda=0:order:rho=0",
@@ -212,7 +220,7 @@ def test_scalar_system_matches_array_path(spec_text, m):
         real = k % 2 == 1
         kind = float if real else complex
         x = reflection_point(rng, m, real)
-        p = oracle._from_reflection(x, real)
+        p = oracle._from_reflection(oracle._kappa(x, real))
         assert len(p) == m and all(isinstance(e, kind) for e in p)
         coeffs, q = oracle._system(fast, p)
         ref_coeffs, ref_q = oracle._system(spec, np.array([p], dtype=complex))
@@ -242,15 +250,85 @@ def test_objective_skips_eigvalsh_where_the_levinson_gate_passes(spec_text, m, m
     for k in range(200):
         real = k % 2 == 1
         x = reflection_point(rng, m, real)
-        coeffs, q = oracle._system(fast, oracle._from_reflection(x, real))
+        coeffs, q = oracle._system(fast, oracle._from_reflection(oracle._kappa(x, real)))
         before = len(calls)
         value = objectives[real](x)
-        if caratheodory.admissible_row(q, tol):
+        if admissible_row(q, tol):
             passed += 1
             assert value == -abs(coeffs[target_index]) and len(calls) == before
         else:
             assert len(calls) == before + 1
     assert 0 < passed < 200
+
+
+KERNEL_CLASSES = {
+    op: [f"{op}:lambda=1/2:order:rho=1/4", f"{op}:lambda=0.3:strong:beta=0.7",
+         f"{op}:lambda=1:janowski:A=1/2,B=-1/2", f"{op}:lambda=1/4:custom:B1=1,B2=1/2,B3=1/4"]
+    for op in ("st", "m")
+}
+KERNEL_CLASSES["m"].append("m:lambda=1e16:order:rho=0")
+KERNEL_CLASSES["st"].append("st:lambda=0:custom:B1=1e200,B2=1,B3=1")  # raises OverflowError
+
+
+def outcome(objective, x):
+    """objective(x) with its type, NaN as a kind, or the type of the exception it raised."""
+    try:
+        value = objective(x)
+    except Exception as exc:  # the kernel must raise where the interpreted steps raise
+        return type(exc)
+    return type(value), "nan" if math.isnan(value) else value
+
+
+@pytest.mark.parametrize("operator", ["st", "m"])
+@pytest.mark.parametrize("target_index", [0, 1, 2, 3])
+@pytest.mark.parametrize("real", [False, True])
+def test_kernel_objective_equals_the_interpreted_steps(operator, target_index, real):
+    # every (operator, target, real) structure, at random points on both sides of the gate and
+    # at non-finite ones, over classes whose constants differ
+    tol = 1e-7 - oracle.POLISH_MARGIN
+    m = 4 if target_index == 3 else 3
+    rng = np.random.default_rng(target_index)
+    sides = set()
+    for spec_text in KERNEL_CLASSES[operator]:
+        spec = parse_spec(spec_text)
+        fast = oracle.fast_spec(spec)
+        kernel = oracle._objective(spec, target_index, tol, real)
+        reference = reference_objective(spec, target_index, tol, real)
+        points = [reflection_point(rng, m, real) for _ in range(60)]
+        points += [[v] * len(points[0]) for v in (math.nan, math.inf, 1e300, 0.0)]
+        outcomes = [outcome(reference, x) for x in points]
+        assert [outcome(kernel, x) for x in points] == outcomes
+        for x in points:
+            try:
+                _, q = oracle._system(fast, oracle._from_reflection(oracle._kappa(x, real)))
+                sides.add(admissible_row(q, tol))
+            except (ArithmeticError, ValueError):  # sin(inf), and the overflowing class
+                pass
+    assert sides == {False, True}
+
+
+@pytest.mark.parametrize("step", [
+    lambda z: z ** 0.5, lambda z: bool(z), lambda z: z < 1, lambda z: z == z,
+    lambda z: z * 1j, lambda z: z + np.float64(1.0), lambda z: z + math.inf, lambda z: math.sin(z),
+])
+def test_tracing_refuses_what_it_cannot_replay(step):
+    with pytest.raises(TypeError):
+        _kernel.trace(lambda params, inputs, gate: step(inputs[0]), (), [float])
+
+
+def test_kernels_are_cached_by_structure(capsys):
+    # classes that differ only in lambda and B share a kernel, so at most 16 are ever built
+    oracle._polish_kernel.cache_clear()
+    assert cli.main(["report", "--samples", "100", "--refine-top", "1", "--refine-steps", "5",
+                     "--format", "json"]) == 0
+    assert oracle._polish_kernel.cache_info().currsize <= 16
+    oracle._polish_kernel.cache_clear()
+    for spec_text in ("st:lambda=0:order:rho=0", "st:lambda=1:order:rho=1/2"):
+        assert cli.main(["verify", spec_text, "--target", "a3", "--restrict-real", "--samples", "100",
+                         "--refine-top", "1", "--refine-steps", "5"]) == 0
+    info = oracle._polish_kernel.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    capsys.readouterr()
 
 
 # -- reflection coordinates --------------------------------------------------
@@ -266,7 +344,7 @@ def test_reflection_coordinates_round_trip(m, max_atoms, restrict_real):
     for row, real in zip(P, real_flags.tolist()):
         x = oracle._to_reflection(row, real)
         assert len(x) == (m if real else 2 * m)
-        back = oracle._from_reflection(x, real)
+        back = oracle._from_reflection(oracle._kappa(x, real))
         assert max(abs(complex(b) - a) for a, b in zip(row, back)) < 1e-12
 
 
@@ -277,20 +355,19 @@ def test_every_reflection_point_lies_in_the_body(m):
     for k in range(200):
         real = k % 2 == 1
         x = boundary[: m if real else None] if k < 2 else reflection_point(rng, m, real)
-        assert smallest_eigenvalue(oracle._from_reflection(x, real)) >= -1e-12
+        assert smallest_eigenvalue(oracle._from_reflection(oracle._kappa(x, real))) >= -1e-12
 
 
 def polish_coordinates(kappa, real):
-    """The x that :func:`oracle._from_reflection` maps to reflection coefficients kappa.
+    """The x that :func:`oracle._kappa` maps to reflection coefficients kappa.
 
-    Returns x and the kappa it stands for, as ``_from_reflection`` forms them.
+    Returns x and the kappa it stands for, as ``_kappa`` forms them.
     """
     if real:
         x = [math.asin(k.real) for k in kappa]
-        return x, [math.sin(s) for s in x]
-    x = [math.asin(math.sqrt(abs(k))) for k in kappa] + [cmath.phase(k) for k in kappa]
-    m = len(kappa)
-    return x, [cmath.rect(math.sin(s) ** 2, phi) for s, phi in zip(x[:m], x[m:])]
+    else:
+        x = [math.asin(math.sqrt(abs(k))) for k in kappa] + [cmath.phase(k) for k in kappa]
+    return x, oracle._kappa(x, real)
 
 
 def reflection_lists(max_modulus):
@@ -319,7 +396,7 @@ def assert_kappa_close(back, kappa):
 def test_reflection_round_trip_inside_the_disc(case):
     real, kappa = case
     x, kappa = polish_coordinates(kappa, real)
-    back, boundary = oracle._reflection(oracle._from_reflection(x, real))
+    back, boundary = oracle._reflection(oracle._from_reflection(oracle._kappa(x, real)))
     assert not boundary and len(back) == len(kappa)
     assert_kappa_close(back, kappa)
 
@@ -332,7 +409,7 @@ def test_reflection_reports_the_boundary_where_kappa_has_modulus_one(case, data)
     kappa[k] = data.draw(st.sampled_from([1.0, -1.0]) if real
                          else st.builds(cmath.rect, st.just(1.0), st.floats(-math.pi, math.pi)))
     x, kappa = polish_coordinates(kappa, real)
-    back, boundary = oracle._reflection(oracle._from_reflection(x, real))
+    back, boundary = oracle._reflection(oracle._from_reflection(oracle._kappa(x, real)))
     assert boundary and len(back) == k + 1
     assert_kappa_close(back[:k], kappa)
     assert abs(back[k] - kappa[k]) <= 1e-6
