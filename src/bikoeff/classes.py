@@ -264,15 +264,18 @@ def _solve_normalized(spec: ClassSpec, target: TruncatedSeries) -> TruncatedSeri
 
     The n-th coefficient enters the (n-1)-th operator coefficient linearly,
     so a two-point evaluation recovers it exactly (pivot positive for
-    lambda >= 0, so a zero pivot is an internal fault).
+    lambda >= 0, so a zero pivot is an internal fault).  Step n expands the
+    operator only to order n - 1: coefficient n - 1 comes from the same
+    operations in the same order as at full order, so every scalar type,
+    floats included, gives the same digits.
     """
     order = target.order + 1
     coeffs = [0, 1] + [0] * (order - 1)
     for n in range(2, order + 1):
-        base = apply_operator(spec, TruncatedSeries(coeffs, order))
-        probe_coeffs = list(coeffs)
+        base = apply_operator(spec, TruncatedSeries(coeffs[: n + 1], n))
+        probe_coeffs = coeffs[: n + 1]
         probe_coeffs[n] = 1
-        probe = apply_operator(spec, TruncatedSeries(probe_coeffs, order))
+        probe = apply_operator(spec, TruncatedSeries(probe_coeffs, n))
         pivot = probe.coeffs[n - 1] - base.coeffs[n - 1]
         if pivot == 0:
             raise ZeroPivotError(f"zero pivot solving a{n} for {spec.text()}")

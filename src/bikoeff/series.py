@@ -102,11 +102,6 @@ class TruncatedSeries:
         self.coeffs = tuple(Fraction(c) if isinstance(c, int) else c for c in coeffs)
         self.order = order
 
-    @classmethod
-    def identity(cls, order):
-        """The series ``z``."""
-        return cls([0, 1], order)
-
     # -- helpers -----------------------------------------------------------
 
     def __getitem__(self, n):
@@ -198,33 +193,46 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     if inner.coeffs[0] != 0:
         raise SeriesError("composition requires inner series with zero constant term")
     order = min(outer.order, inner.order)
+    inner = inner.truncate(order)
     result = TruncatedSeries([outer.coeffs[order]], order)
     for k in range(order - 1, -1, -1):
-        result = result * inner.truncate(order) + outer.coeffs[k]
+        result = result * inner + outer.coeffs[k]
     return result
 
 
 def revert(f: TruncatedSeries) -> TruncatedSeries:
-    """Compositional inverse of a normalized series (f(0)=0, f'(0)=1).
+    """Compositional inverse g of a normalized series (f(0)=0, f'(0)=1), order by order.
 
-    Newton iteration on g -> g - (f(g) - z)/f'(g); the triangular-solve
-    route lives in the test suite as an independent cross-check.
+    With T[k][n] = [z^n] g^k, the z^n coefficient of f(g) = z reads
+    g_n + sum_{k=2..n} a_k T[k][n] = 0, and for k >= 2 the column
+    T[k][n] = sum_j g_j T[k-1][n-j] needs only g_1..g_{n-1}: O(order^3)
+    scalar products and no composition.  Every entry of g is of f's kind:
+    the sum of f's entries times 0 seeds g_0 and g_1, so Polynomial
+    entries give Polynomial ones.
     """
     if f.coeffs[0] != 0:
         raise SeriesError("reversion requires zero constant term")
     if f.coeffs[1] != 1:
         raise SeriesError("reversion requires unit linear coefficient")
-    order = f.order
-    ident = TruncatedSeries.identity(order)
-    # f is a genuine polynomial here, so padding f' with zeros keeps full order
-    fprime = TruncatedSeries(f.derivative().coeffs, order)
-    g = ident
-    for _ in range(order.bit_length() + 2):
-        residual = compose(f, g) - ident
-        if all(c == 0 for c in residual.coeffs):
-            break
-        g = g - residual / compose(fprime, g)
-    return g
+    a = f.coeffs
+    zero = a[0]
+    for c in a[2:]:
+        zero = zero + c * 0
+    g = [zero, zero + a[1]]
+    powers = [None, g]  # powers[k][n] = T[k][n], read only for n >= k
+    for n in range(2, f.order + 1):
+        powers.append([zero] * n)  # g^n starts at z^n
+        # explicit loops, not sum(), which compensates float sums from Python 3.12 on
+        acc = 0
+        for k in range(2, n + 1):
+            prev = powers[k - 1]
+            t = 0
+            for j in range(1, n - k + 2):
+                t = t + g[j] * prev[n - j]
+            powers[k].append(t)
+            acc = acc + a[k] * t
+        g.append(-acc)
+    return TruncatedSeries(g, f.order)
 
 
 def mobius_to_disk(p: TruncatedSeries) -> TruncatedSeries:

@@ -1,7 +1,8 @@
 """Helpers that only the tests use: the eigenvalue admissibility test, its
-one-row Levinson gate, the interpreted polish objective, stacked Toeplitz
-matrices, sampled tuples, the moments of a measure, the scaling of a tuple and
-a one-shot oracle search."""
+one-row Levinson gate, the interpreted polish objective, Newton's series
+reversion, the full-order coefficient solve, a bit-for-bit scalar key,
+stacked Toeplitz matrices, sampled tuples, the moments of a measure, the
+scaling of a tuple and a one-shot oracle search."""
 
 import numpy as np
 
@@ -13,6 +14,8 @@ from bikoeff.caratheodory import (
     smallest_eigenvalue,
     toeplitz_matrix,
 )
+from bikoeff.classes import ZeroPivotError, apply_operator, subordination_target
+from bikoeff.series import CoefficientVector, Polynomial, SeriesError, TruncatedSeries, compose
 
 
 def is_admissible(p, tol: float = 1e-9) -> bool:
@@ -51,6 +54,55 @@ def reference_objective(spec, target_index, tol, real):
         return value + 1e4 * max(0.0, -(lam_min + tol))
 
     return objective
+
+
+def newton_revert(f: TruncatedSeries) -> TruncatedSeries:
+    """Compositional inverse by Newton iteration: the reference for ``series.revert``.
+
+    g -> g - (f(g) - z)/f'(g), each step composing at full order.  When
+    f = z the first residual is zero and the identity comes back with its
+    Fraction entries, whatever f's kind.
+    """
+    if f.coeffs[0] != 0:
+        raise SeriesError("reversion requires zero constant term")
+    if f.coeffs[1] != 1:
+        raise SeriesError("reversion requires unit linear coefficient")
+    order = f.order
+    ident = TruncatedSeries([0, 1], order)
+    # f is a genuine polynomial here, so padding f' with zeros keeps full order
+    fprime = TruncatedSeries(f.derivative().coeffs, order)
+    g = ident
+    for _ in range(order.bit_length() + 2):
+        residual = compose(f, g) - ident
+        if all(c == 0 for c in residual.coeffs):
+            break
+        g = g - residual / compose(fprime, g)
+    return g
+
+
+def full_order_solve(spec, p) -> CoefficientVector:
+    """``solve_coefficients`` expanding the operator at full order on every step: its reference."""
+    m = len(p)
+    target = subordination_target(spec, TruncatedSeries([1, *p], m))
+    order = target.order + 1
+    coeffs = [0, 1] + [0] * (order - 1)
+    for n in range(2, order + 1):
+        base = apply_operator(spec, TruncatedSeries(coeffs, order))
+        probe_coeffs = list(coeffs)
+        probe_coeffs[n] = 1
+        probe = apply_operator(spec, TruncatedSeries(probe_coeffs, order))
+        pivot = probe.coeffs[n - 1] - base.coeffs[n - 1]
+        if pivot == 0:
+            raise ZeroPivotError(f"zero pivot solving a{n} for {spec.text()}")
+        coeffs[n] = (target.coeffs[n - 1] - base.coeffs[n - 1]) / pivot
+    return CoefficientVector(coeffs[2], coeffs[3], coeffs[4], coeffs[5] if m >= 4 else None)
+
+
+def exact_key(c):
+    """A scalar's type and digits: equal only for one value of one type, -0.0 and NaN included."""
+    if isinstance(c, Polynomial):
+        return Polynomial, sorted((mono, exact_key(v)) for mono, v in c.terms.items())
+    return type(c), repr(c)
 
 
 def toeplitz_batch(p_stack: np.ndarray) -> np.ndarray:

@@ -17,9 +17,10 @@ from bikoeff.classes import (
     strong_coeffs,
     subordination_target,
 )
-from bikoeff.series import CoefficientVector, TruncatedSeries, revert
+from bikoeff.series import CoefficientVector, Polynomial, TruncatedSeries, revert
 
 from conftest import random_fraction
+from helpers import exact_key, full_order_solve, newton_revert, sample
 
 
 def random_spec(rng, operator=None):
@@ -277,6 +278,59 @@ def test_implied_q_with_a5(rational_rng):
     q = implied_q(spec, a)
     assert len(q) == 4
     assert abs(complex(q[0]) + complex(p[0])) < 1e-12
+
+
+# -- the exact route against its full-order and Newton references -------------
+
+
+FLOAT_CLASSES = ["m:lambda=0.3:strong:beta=0.7", "st:lambda=0.5:janowski:A=1,B=-1",
+                 "m:lambda=1e16:order:rho=0"]
+POLYNOMIAL_CLASSES = ["m:lambda=1/2:order:rho=0", "st:lambda=0.5:strong:beta=1/3"]
+
+
+def _reference_cases(rng):
+    """(spec, p) over Fraction, decimal, huge-lambda, complex-generator and Polynomial scalars."""
+    cases = []
+    for m in (3, 4):
+        for _ in range(4):
+            p = tuple(random_fraction(rng, -1, 1) for _ in range(m))
+            cases.append((random_spec(rng), p))
+        cases.append((parse_spec("ss:beta=1/2"), p))
+        cases += [(parse_spec(text), sample(seed, m)) for seed, text in enumerate(FLOAT_CLASSES)]
+        complex_gen = MindaGenerator((1, 0.5 + 0.25j, -0.25j))
+        cases += [(ClassSpec(op, Fraction(1, 3), complex_gen), sample(7, m)) for op in ("st", "m")]
+        poly = tuple(Polynomial({(k,): 1}) for k in range(m))
+        cases += [(parse_spec(text), poly) for text in POLYNOMIAL_CLASSES]
+    return cases
+
+
+def _keys(values):
+    return [exact_key(v) for v in values]
+
+
+def test_solve_equals_the_full_order_solve_bit_for_bit(rational_rng):
+    for spec, p in _reference_cases(rational_rng):
+        a, ref = solve_coefficients(spec, p), full_order_solve(spec, p)
+        assert _keys((a.a2, a.a3, a.a4, a.a5)) == _keys((ref.a2, ref.a3, ref.a4, ref.a5)), spec.text()
+
+
+def _rational(v):
+    leaves = v.terms.values() if isinstance(v, Polynomial) else [v]
+    return all(isinstance(c, Fraction) for c in leaves)
+
+
+def test_exact_implied_q_equals_the_newton_route_bit_for_bit(rational_rng, monkeypatch):
+    # float results differ in the last digits; test_series bounds that difference
+    cases = []
+    for spec, p in _reference_cases(rational_rng):
+        a = solve_coefficients(spec, p)
+        q = implied_q(spec, a)
+        if all(_rational(v) for v in q):
+            cases.append((spec, a, q))
+    assert len(cases) == 12
+    monkeypatch.setattr(classes, "revert", newton_revert)
+    for spec, a, q in cases:
+        assert _keys(q) == _keys(implied_q(spec, a)), spec.text()
 
 
 # -- internal faults ---------------------------------------------------------

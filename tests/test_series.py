@@ -16,6 +16,7 @@ from bikoeff.series import (
 )
 
 from conftest import random_fraction
+from helpers import newton_revert
 
 fractions_st = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
@@ -76,7 +77,9 @@ def test_float_products_sum_left_to_right_from_zero():
     assert a.coeffs == (1.0, 1e100, 1e100, 0.0)
     assert math.copysign(1.0, (TruncatedSeries([-0.0]) * TruncatedSeries([1.0]))[0]) == 1.0
     f = TruncatedSeries([0, 1, 0.1, 0.2, 0.3, 0.7])
-    assert compose(f, revert(f)).coeffs == (0.0, 1.0, 0.0, 0.0, -2.7755575615628914e-17, 0.0)
+    assert compose(f, revert(f)).coeffs == (
+        0.0, 1.0, 0.0, 0.0, -2.7755575615628914e-17, -1.1102230246251565e-16
+    )
 
 
 # -- ring laws (hypothesis) -------------------------------------------------
@@ -153,12 +156,74 @@ def test_revert_matches_triangular_solve(f):
     assert revert(f) == revert_by_triangular_solve(f)
 
 
+def _normalized(entries_st, order):
+    return st.lists(entries_st, min_size=order - 1, max_size=order - 1).map(
+        lambda tail: TruncatedSeries([0, 1, *tail], order)
+    )
+
+
+dyadic_complex_st = st.builds(
+    lambda re, im: complex(re / 4, im / 4), st.integers(-12, 12), st.integers(-12, 12)
+)
+polynomial_st = st.dictionaries(
+    st.lists(st.integers(0, 2), max_size=2).map(lambda mono: tuple(sorted(mono))),
+    fractions_st,
+    max_size=2,
+).map(Polynomial)
+
+
+def _assert_same_as_newton(f):
+    g, h = revert(f), newton_revert(f)
+    assert g == h
+    if any(c != 0 for c in f.coeffs[2:]):  # at f = z Newton returns the identity's Fraction entries
+        assert [type(c) for c in g.coeffs] == [type(c) for c in h.coeffs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_st(order=6, first_unit=True))
+def test_revert_equals_newton_on_fractions(f):
+    _assert_same_as_newton(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_normalized(dyadic_complex_st, 6))
+def test_revert_equals_newton_on_dyadic_complex_entries(f):
+    # quarter-integer parts, so every product and sum is exact in floats
+    _assert_same_as_newton(f)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_normalized(polynomial_st, 5))
+def test_revert_equals_newton_on_polynomial_entries(f):
+    _assert_same_as_newton(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_normalized(st.integers(-3 * 10**6, 3 * 10**6).map(lambda i: i / 10**6), 6))
+def test_revert_agrees_with_newton_on_floats(f):
+    # each coefficient within 1e-13 of the same coefficient of the majorant
+    # series revert(z - sum |a_k| z^k), which bounds the magnitudes both routes sum
+    g, h = revert(f), newton_revert(f)
+    majorant = revert(TruncatedSeries([0, 1, *(-abs(c) for c in f.coeffs[2:])], f.order))
+    assert all(type(c) is float for c in g.coeffs)
+    for n in range(f.order + 1):
+        assert abs(g[n] - h[n]) <= 1e-13 * majorant[n]
+
+
+def test_revert_entries_are_of_fs_kind():
+    # every entry, also where f = z, which Newton's first zero residual returned as Fractions
+    for tail, kind in (([Fraction(1, 2), 0], Fraction), ([0.5, 0], float), ([0j, 0], complex),
+                       ([Polynomial(), 0], Polynomial), ([0.0, Polynomial({(0,): 1})], Polynomial)):
+        g = revert(TruncatedSeries([0, 1, *tail], 3))
+        assert [type(c) for c in g.coeffs] == [kind] * 4
+
+
 @settings(max_examples=40, deadline=None)
 @given(series_st(order=5, first_unit=True))
 def test_revert_roundtrip(f):
     g = revert(f)
-    assert compose(f, g) == TruncatedSeries.identity(5)
-    assert compose(g, f) == TruncatedSeries.identity(5)
+    assert compose(f, g) == TruncatedSeries([0, 1], 5)
+    assert compose(g, f) == TruncatedSeries([0, 1], 5)
 
 
 def test_revert_koebe_catalan():
@@ -212,4 +277,4 @@ def test_mobius_roundtrip(p):
 def test_mobius_halfplane_to_disk_is_z():
     # (1+z)/(1-z) maps back to the identity
     p = TruncatedSeries([1, 1], 5) / TruncatedSeries([1, -1], 5)
-    assert mobius_to_disk(p) == TruncatedSeries.identity(5)
+    assert mobius_to_disk(p) == TruncatedSeries([0, 1], 5)
