@@ -63,7 +63,8 @@ class MindaGenerator:
         """
         B = self.B
         if order > len(B) and self.family != "custom":
-            B = _FAMILIES[self.family](**self.params, K=order).B
+            rule, _ = _FAMILIES[self.family]
+            B = rule(**self.params, K=order).B
         return TruncatedSeries([1, *B[:order]], order)
 
 
@@ -98,7 +99,13 @@ def strong_coeffs(beta, K=DEFAULT_ORDER) -> MindaGenerator:
     return MindaGenerator(tuple(coeffs[1 : K + 1]), "strong", {"beta": beta})
 
 
-_FAMILIES = {"janowski": janowski_coeffs, "order": order_coeffs, "strong": strong_coeffs}
+# family -> (its rule, parameter names in text order); custom's are its stored B1, B2, B3
+_FAMILIES = {
+    "janowski": (janowski_coeffs, ("A", "B")),
+    "order": (order_coeffs, ("rho",)),
+    "strong": (strong_coeffs, ("beta",)),
+    "custom": (lambda *B: MindaGenerator(B), ("B1", "B2", "B3")),
+}
 
 
 @dataclass(frozen=True)
@@ -117,29 +124,16 @@ class ClassSpec:
 
     def text(self) -> str:
         """Canonical spec text, e.g. ``st:lambda=1/2:order:rho=0``."""
-        parts = [self.operator, f"lambda={_fmt_num(self.lam)}"]
-        fam = self.generator.family
-        parts.append(fam)
-        if fam == "janowski":
-            parts.append(
-                f"A={_fmt_num(self.generator.params['A'])},B={_fmt_num(self.generator.params['B'])}"
-            )
-        elif fam == "order":
-            parts.append(f"rho={_fmt_num(self.generator.params['rho'])}")
-        elif fam == "strong":
-            parts.append(f"beta={_fmt_num(self.generator.params['beta'])}")
-        else:
-            parts.append(",".join(f"B{i+1}={_fmt_num(b)}" for i, b in enumerate(self.generator.B[:3])))
-        return ":".join(parts)
+        gen = self.generator
+        _, names = _FAMILIES[gen.family]
+        values = gen.B if gen.family == "custom" else [gen.params[k] for k in names]
+        params = ",".join(f"{k}={_fmt_num(v)}" for k, v in zip(names, values))
+        return f"{self.operator}:lambda={_fmt_num(self.lam)}:{gen.family}:{params}"
 
 
 def _fmt_num(x):
-    if isinstance(x, Rational) and not isinstance(x, int):
-        f = Fraction(x)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    if isinstance(x, float) and x.is_integer():
-        return str(int(x))
-    return str(x)
+    """Text that ``_parse_num`` reads back as ``x``: a float keeps its repr, so it stays a float."""
+    return str(Fraction(x)) if isinstance(x, Rational) else str(x)
 
 
 def _parse_num(text):
@@ -200,26 +194,20 @@ def _build_spec(head, fam, kv) -> ClassSpec:
             raise SpecParseError(f"missing key {key!r}")
         return kv.pop(key)
 
-    if head == "ss":
-        beta = take("beta")
-        if fam is not None or kv:
-            raise SpecParseError(f"unknown keys for ss class: {sorted(kv) + ([fam] if fam else [])}")
-        return ClassSpec("st", Fraction(0), strong_coeffs(beta))
+    if head == "ss":  # shorthand for st:lambda=0:strong:...
+        extra = sorted(set(kv) - set(_FAMILIES["strong"][1])) + ([fam] if fam else [])
+        if extra:
+            raise SpecParseError(f"unknown keys for ss class: {extra}")
+        head, fam = "st", "strong"
     if head not in ("st", "m"):
         raise SpecParseError(f"unknown class family {head!r}")
     lam = kv.pop("lambda", Fraction(0))
     if fam is None:
         raise SpecParseError("missing generator family segment")
-    if fam == "janowski":
-        gen = janowski_coeffs(take("A"), take("B"))
-    elif fam == "order":
-        gen = order_coeffs(take("rho"))
-    elif fam == "strong":
-        gen = strong_coeffs(take("beta"))
-    elif fam == "custom":
-        gen = MindaGenerator((take("B1"), take("B2"), take("B3")), "custom")
-    else:
+    if fam not in _FAMILIES:
         raise SpecParseError(f"unknown generator family {fam!r}")
+    rule, names = _FAMILIES[fam]
+    gen = rule(*(take(k) for k in names))
     if kv:
         raise SpecParseError(f"unknown keys: {sorted(kv)}")
     return ClassSpec(head, lam, gen)

@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 usage or configuration error, 2 the search found
 a sample of the relaxed feasible set above a proven bound (this refutes
 proofs that use only the relaxed p/q constraints; the sample is not a
-function in the class).  Reports serialize as JSON (schema_version
-"1"), RFC-4180 CSV, or aligned text tables; numbers carry 15
-significant digits.
+function in the class).  ``render`` writes every document as JSON
+(schema_version "1"), RFC-4180 CSV or an aligned table, at 15 significant
+digits; rows hold the library's full floats, in the order asked.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 from .bounds import (
@@ -51,64 +51,31 @@ def _sig15(x) -> float:
     return float(f"{float(x):.15g}")
 
 
-@dataclass
-class ReportDocument:
-    spec: str
-    rows: list
-    provenance: dict = field(default_factory=dict)
-    schema_version: str = SCHEMA_VERSION
-
-    def to_json(self) -> str:
+def render(spec: str, rows, fmt: str, provenance=None) -> str:
+    """``rows`` as a JSON, CSV or table document: the one place numbers are rounded or formatted."""
+    if fmt == "json":
         def clean(obj):
             if isinstance(obj, dict):
                 return {k: clean(v) for k, v in obj.items()}
-            if isinstance(obj, (list, tuple)):
-                return [clean(v) for v in obj]
-            if isinstance(obj, complex):
-                return {"re": _sig15(obj.real), "im": _sig15(obj.imag)}
-            if isinstance(obj, float):
-                return _sig15(obj)
-            return obj
+            return _sig15(obj) if isinstance(obj, float) else obj
 
         payload = {
-            "schema_version": self.schema_version,
-            "spec": self.spec,
-            "rows": clean(self.rows),
-            "provenance": clean(self.provenance),
+            "schema_version": SCHEMA_VERSION,
+            "spec": spec,
+            "rows": [clean(row) for row in rows],
+            "provenance": clean(provenance or {}),
         }
-        return json.dumps(payload, indent=2)
-
-    def _columns(self):
-        cols = []
-        for row in self.rows:
-            for key in row:
-                if key not in cols:
-                    cols.append(key)
-        return cols
-
-    def to_csv(self) -> str:
-        cols = self._columns()
+        return json.dumps(payload, indent=2) + "\n"
+    cols = list(dict.fromkeys(key for row in rows for key in row))
+    grid = [cols] + [[_cell(row.get(c, "")) for c in cols] for row in rows]
+    if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(cols)
-        for row in self.rows:
-            writer.writerow([_cell(row.get(c, "")) for c in cols])
+        csv.writer(buf, lineterminator="\r\n").writerows(grid)
         return buf.getvalue()
-
-    def to_table(self) -> str:
-        cols = self._columns()
-        grid = [cols] + [[_cell(row.get(c, "")) for c in cols] for row in self.rows]
-        widths = [max(len(r[i]) for r in grid) for i in range(len(cols))]
-        lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in grid]
-        lines.insert(1, "  ".join("-" * w for w in widths))
-        return f"spec: {self.spec}\n" + "\n".join(lines) + "\n"
-
-    def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return self.to_json() + "\n"
-        if fmt == "csv":
-            return self.to_csv()
-        return self.to_table()
+    widths = [max(len(r[i]) for r in grid) for i in range(len(cols))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in grid]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return f"spec: {spec}\n" + "\n".join(lines) + "\n"
 
 
 def _cell(value) -> str:
@@ -126,6 +93,11 @@ def _cell(value) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _row(coefficient, bound, branch="", route="", variant=""):
+    """The columns that every bounds, verify and report row starts with."""
+    return {"coefficient": coefficient, "bound": bound, "branch": branch, "route": route, "variant": variant}
+
+
 def _a5_rows(spec: ClassSpec):
     family = a5_family(spec)
     if family is None:
@@ -135,39 +107,30 @@ def _a5_rows(spec: ClassSpec):
         pairs = [(v, st_rho_a5(param, v)) for v in ST_RHO_A5_VARIANTS]
     else:
         pairs = [(v, ss_beta_a5(param, v)) for v in SS_BETA_A5_VARIANTS]
-    return [
-        {"coefficient": "a5", "bound": _sig15(b), "branch": "", "route": "", "variant": v}
-        for v, b in pairs
-    ]
+    return [_row("a5", b, variant=v) for v, b in pairs]
 
 
 def bounds_rows(spec: ClassSpec, coeffs):
-    rows = []
-    targets = [c for c in coeffs if c != "a5"]
+    """One row per bound variant of each coefficient, in the order of ``coeffs``."""
     # a DegenerateBoundError is a user-facing error: main reports it as exit 1
-    breakdowns = class_bounds(spec) if targets else ()
-    for name in targets:
+    breakdowns = class_bounds(spec) if set(coeffs) - {"a5"} else ()
+    rows = []
+    for name in coeffs:
+        if name == "a5":
+            rows.extend(_a5_rows(spec))
+            continue
         b = breakdowns[TARGETS.index(name)]
-        row = {
-            "coefficient": name,
-            "bound": _sig15(b.value),
-            "branch": b.branch,
-            "route": b.route,
-            "variant": "",
-        }
+        row = _row(name, b.value, b.branch, b.route)
         if b.constants:
-            row["constants"] = {k: _sig15(v) for k, v in b.constants.items()}
+            row["constants"] = b.constants
         rows.append(row)
-    if "a5" in coeffs:
-        rows.extend(_a5_rows(spec))
     return rows
 
 
 def cmd_bounds(args) -> int:
     spec = parse_spec(args.spec)
-    coeffs = _parse_coeffs(args.coeffs)
-    doc = ReportDocument(spec.text(), bounds_rows(spec, coeffs))
-    _emit(doc.render(args.format), args.out)
+    rows = bounds_rows(spec, _parse_coeffs(args.coeffs))
+    _emit(render(spec.text(), rows, args.format), args.out)
     return EXIT_OK
 
 
@@ -211,14 +174,9 @@ def verify_rows(spec: ClassSpec, targets, config: SearchConfig):
     for target in targets:
         rep, branch, route = _target_report(spec, target, config)
         for name, v in rep.variants.items():
-            rows.append({
-                "coefficient": target,
-                "bound": _sig15(v["bound"]),
-                "branch": branch,
-                "route": route,
-                "variant": name,
-                "oracle_best": _sig15(rep.best_value),
-                "slack": _sig15(v["slack"]),
+            rows.append(_row(target, v["bound"], branch, route, name) | {
+                "oracle_best": rep.best_value,
+                "slack": v["slack"],
                 "violated": bool(v["violated"]),
                 "proven": v["proven"],
                 "feasible": rep.feasible_count,
@@ -228,9 +186,9 @@ def verify_rows(spec: ClassSpec, targets, config: SearchConfig):
     return rows, witnesses
 
 
-def _emit_verdict(doc: ReportDocument, args, witnesses) -> int:
+def _emit_verdict(spec: str, rows, config: SearchConfig, args, witnesses) -> int:
     """Write the document, print every violation witness to stderr, and give the exit code."""
-    _emit(doc.render(args.format), args.out)
+    _emit(render(spec, rows, args.format, asdict(config)), args.out)
     for w in witnesses:
         print(f"violation witness: {w}", file=sys.stderr)
     return EXIT_VIOLATION if witnesses else EXIT_OK
@@ -244,7 +202,7 @@ def cmd_verify(args) -> int:
         targets = [args.target]
     config = _search_config(args)
     rows, witnesses = verify_rows(spec, targets, config)
-    return _emit_verdict(ReportDocument(spec.text(), rows, asdict(config)), args, witnesses)
+    return _emit_verdict(spec.text(), rows, config, args, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +244,8 @@ def cmd_expand(args) -> int:
     order = args.order
     if order < 1:
         raise CliError("--order must be >= 1")
+    if order < 2 and args.what == "inverse":  # the inverse has nothing past w^1
+        raise CliError("--order must be >= 2 for --what inverse")
     n = order + 1 if args.what == "operator" else order  # the operator drops one order
     f = TruncatedSeries([Polynomial(), Polynomial({(): 1}), *(Polynomial({(k,): 1}) for k in range(n - 1))], n)
     if args.what == "generator":
@@ -326,7 +286,7 @@ def sweep_rows(template: str, grid, coeffs):
         spec = parse_spec(template.replace("{}", f"{value:.17g}"))
         for row in bounds_rows(spec, coeffs):
             rows.append({
-                "param": _sig15(value),
+                "param": value,
                 "coeff": row["coefficient"],
                 "bound": row["bound"],
                 "branch": row["branch"],
@@ -339,7 +299,7 @@ def cmd_sweep(args) -> int:
     lo, hi, steps = _parse_range(args.range)
     grid = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)] if steps > 1 else [lo]
     rows = sweep_rows(args.spec_template, grid, _parse_coeffs(args.coeffs))
-    _emit(ReportDocument(args.spec_template, rows).to_csv(), args.out)
+    _emit(render(args.spec_template, rows, "csv"), args.out)
     return EXIT_OK
 
 
@@ -370,7 +330,7 @@ def cmd_report(args) -> int:
             row["spec"] = spec.text()
         rows.extend(sub)
         witnesses.extend(found)
-    return _emit_verdict(ReportDocument("acceptance-grid", rows, asdict(config)), args, witnesses)
+    return _emit_verdict("acceptance-grid", rows, config, args, witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bikoeff import classes
 from bikoeff.classes import (
@@ -117,6 +119,42 @@ def test_generator_validation():
 def test_parse_roundtrip(text):
     spec = parse_spec(text)
     assert parse_spec(spec.text()) == spec
+
+
+def numbers(lo, hi, open_lo=False, open_hi=False):
+    """A number in [lo, hi] (an end left out when open) as a Fraction or a float; str() gives its spec text."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    values = st.one_of(st.fractions(lo, hi, max_denominator=12), st.floats(float(lo), float(hi)))
+    return values.filter(lambda x: (lo < x if open_lo else lo <= x) and (x < hi if open_hi else x <= hi))
+
+
+def janowski_params():
+    # B < A as floats too: float A - B must not round B1 to 0
+    pairs = st.tuples(numbers(-1, 1), numbers(-1, 1))
+    return pairs.filter(lambda ab: ab[1] < ab[0] and float(ab[1]) < float(ab[0]))
+
+
+SPEC_TEXTS = st.one_of(
+    st.builds("{}:lambda={}:{}".format, st.sampled_from(["st", "m"]), numbers(0, 4), st.one_of(
+        janowski_params().map(lambda ab: "janowski:A={},B={}".format(*ab)),
+        numbers(0, 1, open_hi=True).map("order:rho={}".format),
+        numbers(0, 1, open_lo=True).map("strong:beta={}".format),
+        st.tuples(numbers(0, 2, open_lo=True), numbers(-2, 2), numbers(-2, 2))
+        .map(lambda B: "custom:B1={},B2={},B3={}".format(*B)),
+    )),
+    numbers(0, 1, open_lo=True).map("ss:beta={}".format),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SPEC_TEXTS)
+# a float that is an integer must print as a float: A - B is a float here, not 1/3
+@example("st:lambda=0.0:janowski:A=0.0,B=-1/3")
+def test_parse_roundtrip_over_the_grammar(text):
+    spec = parse_spec(text)
+    canonical = spec.text()
+    assert parse_spec(canonical) == spec
+    assert parse_spec(canonical).text() == canonical
 
 
 def test_parse_keeps_fractions_exact():

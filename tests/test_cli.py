@@ -9,9 +9,9 @@ from dataclasses import asdict, fields
 import pytest
 
 from bikoeff import cli, oracle
-from bikoeff.bounds import BoundBreakdown, a5_family
+from bikoeff.bounds import BoundBreakdown, a5_family, class_bounds
 from bikoeff.classes import apply_operator, parse_spec
-from bikoeff.cli import ReportDocument, main
+from bikoeff.cli import main, render
 from bikoeff.oracle import SearchConfig, check_a5_system, max_coeff
 from bikoeff.series import TruncatedSeries, revert
 
@@ -205,8 +205,43 @@ def test_json_roundtrip(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["schema_version"] == "1"
-    doc = ReportDocument(payload["spec"], payload["rows"], payload["provenance"])
-    assert json.loads(doc.to_json()) == payload
+    assert json.loads(render(payload["spec"], payload["rows"], "json", payload["provenance"])) == payload
+
+
+def test_bounds_rows_carry_the_library_floats():
+    # the document rounds a2 to 1.4142135623731; the row keeps every digit
+    spec = parse_spec("st:lambda=0:order:rho=0")
+    assert cli.bounds_rows(spec, ["a2"])[0]["bound"] == class_bounds(spec)[0].value
+
+
+def test_verify_rows_carry_the_oracle_floats():
+    spec = parse_spec("st:lambda=1/2:order:rho=1/4")
+    config = SearchConfig(seed=7, samples=300, refine_top=1, refine_steps=20)
+    [row], _ = cli.verify_rows(spec, ["a3"], config)
+    rep = max_coeff(spec, "a3", config)
+    assert row["oracle_best"] == rep.best_value
+    assert (row["bound"], row["slack"]) == (rep.bound, rep.slack)
+
+
+def test_csv_cells_read_back_as_the_json_numbers(capsys):
+    argv = ("verify", "ss:beta=3/4", "--samples", "300", "--refine-top", "1", "--refine-steps", "20",
+            "--seed", "2", "--format")
+    code, out, _ = run(capsys, *argv, "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    _, out, _ = run(capsys, *argv, "csv")
+    cells = list(csv.DictReader(io.StringIO(out)))
+    assert len(cells) == len(rows) == 5
+    numbers = [(cell[k], v) for row, cell in zip(rows, cells) for k, v in row.items()
+               if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    assert len(numbers) == 4 * len(rows)  # bound, oracle_best, slack, feasible
+    assert all(float(text) == value for text, value in numbers)
+
+
+def test_bounds_rows_follow_the_coefficients_asked(capsys):
+    doc = bounds_json(capsys, "ss:beta=1", "--coeffs", "a5,a2")
+    assert [(row["coefficient"], row["variant"]) for row in doc["rows"]] == [
+        ("a5", "stated"), ("a5", "rederived"), ("a2", "")]
 
 
 def test_csv_is_rfc4180(capsys):
@@ -438,6 +473,13 @@ def test_expand_rejects_order_below_one(capsys, order):
     assert "--order must be >= 1" in err
 
 
+def test_expand_inverse_rejects_order_below_two(capsys):
+    # the inverse has nothing past w^1 to print
+    code, out, err = run(capsys, "expand", "ss:beta=1/2", "--what", "inverse", "--order", "1")
+    assert code == 1 and out == ""
+    assert "--order must be >= 2 for --what inverse" in err
+
+
 def test_expand_inverse_polynomials(capsys):
     code, out, _ = run(capsys, "expand", "st:lambda=0:order:rho=0", "--what", "inverse", "--order", "5")
     assert code == 0
@@ -504,7 +546,7 @@ def test_expand_operator_prints_as_sympy_did(capsys, operator, lam):
 
 def test_expand_inverse_prints_as_sympy_did(capsys):
     lines = sympy_lines("st:lambda=0:order:rho=0", "inverse", 7)
-    for order in range(1, 8):
+    for order in range(2, 8):
         _, out, _ = run(capsys, "expand", "st:lambda=0:order:rho=0", "--what", "inverse", "--order", str(order))
         assert out == "\n".join(lines[: order - 1]) + "\n"
 
@@ -523,6 +565,15 @@ def test_sweep_a5_two_variants(tmp_path, capsys):
     assert rows[0] == ["param", "coeff", "bound", "branch", "variant"]
     assert len(rows) == 13  # header + 6 grid points x 2 variants
     assert {r[4] for r in rows[1:]} == {"stated", "proof"}
+
+
+def test_sweep_rows_follow_the_coefficients_asked(capsys):
+    code, out, _ = run(capsys, "sweep", "ss:beta={}", "--param", "beta", "--range", "0.5:1:2",
+                       "--coeffs", "a5,a2")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [(row[0], row[1]) for row in rows] == [
+        ("0.5", "a5"), ("0.5", "a5"), ("0.5", "a2"), ("1", "a5"), ("1", "a5"), ("1", "a2")]
 
 
 def test_sweep_lambda_monotone(tmp_path, capsys):
