@@ -6,8 +6,8 @@ the kinds, float or complex, in ``inputs``.  Each ``+ - * /``, ``** int``,
 negation, ``abs``, ``conjugate()``, ``.real`` and ``.imag`` becomes one
 line, in the order performed and with its operands as given; only exact
 identities fold (``.real``, ``.imag``, ``conjugate()`` of a float, a
-repeated line).  ``gate(err, *outputs)`` becomes ``if not err > 0: return
-outputs``.  Parameter-only lines run once in ``build(*params)``, the rest in
+repeated line).  ``gate(err, output)`` becomes ``if not err > 0: return
+output``.  Parameter-only lines run once in ``build(*params)``, the rest in
 the ``kernel(*inputs)`` it returns, and unread lines that cannot raise are
 dropped, so Python performs the traced code's IEEE operations on the same
 operand types, bit for bit.  What it could not replay exactly raises
@@ -67,13 +67,11 @@ def _record(op, *args, kind=None):
 
 
 def _text(value, live):
-    """``value``, a Sym, constant, None or tuple of them, as source; its Syms join ``live``."""
-    if isinstance(value, tuple):
-        return "(" + "".join(_text(v, live) + ", " for v in value) + ")"
+    """``value``, a Sym or a constant, as source; a Sym joins ``live``."""
     if isinstance(value, Sym):
         live.add(value.name)
         return value.name
-    return "None" if value is None else _constant(value)
+    return _constant(value)
 
 
 def trace(fn, params, inputs):
@@ -81,15 +79,15 @@ def trace(fn, params, inputs):
     tape = {}  # operation key, or position for a gate or return, to its entry, in recorded order
     xs = [Sym(tape, f"x{k}", kind, 1) for k, kind in enumerate(inputs)]
 
-    def gate(err, *outputs):
-        tape[len(tape)] = err, outputs
+    def gate(err, output):
+        tape[len(tape)] = err, output
 
     tape[len(tape)] = None, fn([Sym(tape, name, float, 0) for name in params], xs, gate)
     live, prelude, body = set(), [], []
     for entry in reversed(tape.values()):
         if not isinstance(entry, Sym):
-            err, outputs = entry
-            ret = f"return {_text(outputs, live)}"
+            err, output = entry
+            ret = f"return {_text(output, live)}"
             body.append(ret if err is None else f"if not {_text(err, live)} > 0: {ret}")
         elif entry.name in live or entry.op in ("div", "pow", "abs"):  # these can raise
             line = f"{entry.name} = " + _FORMATS[entry.op].format(*(_text(a, live) for a in entry.args))

@@ -69,8 +69,12 @@ class MindaGenerator:
 
 
 def janowski_coeffs(A, B, K=DEFAULT_ORDER) -> MindaGenerator:
-    """Generator of (1+Az)/(1+Bz): Bn = (-B)^(n-1) (A-B), for -1 <= B < A <= 1."""
-    if not (-1 <= B < A <= 1):
+    """Generator of (1+Az)/(1+Bz): Bn = (-B)^(n-1) (A-B), for -1 <= B < A <= 1.
+
+    B < A is checked as A - B > 0, in the arithmetic of the coefficients:
+    a Fraction A and a float B can differ while A - B rounds to 0.
+    """
+    if not (-1 <= B and A <= 1 and A - B > 0):
         raise ValueError("janowski generator requires -1 <= B < A <= 1")
     coeffs = [(-B) ** (n - 1) * (A - B) for n in range(1, K + 1)]
     return MindaGenerator(tuple(coeffs), "janowski", {"A": A, "B": B})

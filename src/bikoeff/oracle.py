@@ -21,14 +21,14 @@ operator, solved order by order.  Order 3 gives a2..a4 and the implied
 :mod:`bikoeff.classes` is the reference the tests check them against.
 The best candidates are polished over their reflection (Schur)
 coefficients, where every point lies in the closed body (:func:`_kappa`,
-:func:`_from_reflection`), by scipy's Nelder-Mead algorithm run on Python
-floats (:func:`_nelder_mead`; scipy itself is needed only by the tests
-that compare the two).  Its objective is straight-line Python traced from
-this module's scalar code (:func:`_polish_kernel`), with the same floats;
-it calls ``eigvalsh`` only where the one-row Levinson gate finds the
-implied tuple inadmissible.  The polish aims POLISH_MARGIN inside the
-feasibility tolerance, so that the polished point passes the re-check at
--tol, and :func:`fit_atoms` gives a polished point its witness measure.
+:func:`_from_reflection`), by a plain Nelder-Mead simplex on lists of
+floats (:func:`minimize`).  Its objective is straight-line Python traced
+from this module's scalar code (:func:`_polish_kernel`): -|a_target|, less
+1e4 times the first prediction error of the implied tuple's shifted
+Toeplitz matrix that is not positive, so no point costs an eigenvalue
+solve.  The polish aims POLISH_MARGIN inside the feasibility tolerance, so
+that the polished point passes the re-check at -tol, and
+:func:`fit_atoms` gives a polished point its witness measure.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import add, lt
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -61,14 +60,14 @@ from .caratheodory import (
     atom_moments,
     levinson,
     smallest_eigenvalue,
-    toeplitz_matrix,
 )
 from .classes import ClassSpec
 
 TARGETS = ("a2", "a3", "a4")
 # The polish aims this far inside the feasibility tolerance: its penalized
-# optimum overshoots the lambda_min it aims at by up to 1.6e-9 (report grid,
-# seeds 0-3).
+# optimum overshoots the lambda_min it aims at by up to 1.1e-15 (report grid,
+# --samples 2000 --refine-top 2 --refine-steps 60, seeds 0-3: no polished
+# point of 480 outside -tol, smallest accepted lambda_min + tol 9.999999e-9).
 POLISH_MARGIN = 1e-8
 # Measure recovery: a prediction error within BOUNDARY_ERR of zero marks a
 # boundary tuple, and a fitted measure must reproduce every moment to FIT_TOL.
@@ -333,16 +332,18 @@ def _system(spec, p):
 def _polish_kernel(operator, target_index, real):
     """``build(lam, B1, B2, B3, B4, tol)``, traced from the objective's scalar steps (:mod:`bikoeff._kernel`).
 
-    Its kernel maps kappa to (-|a_target|, None), or to (-|a_target|, q) at
-    the first prediction error of T + tol I that is not positive.
+    Its kernel maps kappa to -|a_target|, or to -|a_target| - 1e4 E at the
+    first prediction error E of the implied tuple's T + tol I that is not
+    positive.  E = D_{k+1}/D_k is 0 on the boundary and sizes how far past
+    it the tuple lies, so the gate's early return carries the penalty.
     """
     def steps(params, kappa, gate):
         lam, *B, tol = params
         coeffs, q = _system(FastSpec(operator, lam, tuple(B)), _from_reflection(kappa))
         value = -abs(coeffs[target_index])
         for _, _, err, _ in levinson([2.0 + tol, *(c.conjugate() for c in q)], [None] * len(q)):
-            gate(err, value, q)
-        return value, None
+            gate(err, value - 1e4 * err)
+        return value
 
     kinds = [float if real else complex] * (4 if target_index == 3 else 3)
     return trace(steps, ("lam", "B1", "B2", "B3", "B4", "tol"), kinds)
@@ -351,150 +352,90 @@ def _polish_kernel(operator, target_index, real):
 def _objective(spec, target_index, tol, real=False):
     """Refinement objective at polish coordinates x (:func:`_to_reflection`), a list of floats.
 
-    -|a_target| of the tuple x stands for, plus a penalty of 1e4 per unit
-    by which lambda_min of the implied tuple's Toeplitz matrix falls below
-    -tol.  Only the points whose implied tuple fails the Levinson gate of
-    :func:`_polish_kernel` pay for ``eigvalsh``, which sizes the penalty.
+    -|a_target| of the tuple x stands for, or, where the implied tuple fails
+    the Levinson gate at -tol, that value less 1e4 times the first
+    prediction error E that is not positive (:func:`_polish_kernel`).
     """
     fast = fast_spec(spec)
     kernel = _polish_kernel(fast.operator, target_index, real)(fast.lam, *fast.B, tol)
-
-    def objective(x):
-        value, q = kernel(*_kappa(x, real))
-        if q is None:
-            return value
-        lam_min = np.linalg.eigvalsh(toeplitz_matrix(q))[0]
-        return value + 1e4 * max(0.0, -(lam_min + tol))
-
-    return objective
+    return lambda x: kernel(*_kappa(x, real))
 
 
-def _ordered(sim, fsim):
-    """(sim, fsim) in the order of numpy's argsort, NaNs last, as scipy sorts them.
+def minimize(fun, x0, *, maxiter, xatol, fatol):
+    """Nelder-Mead on lists of floats, with the standard coefficients.
 
-    While all but the last value strictly increase and the last differs from
-    them, that order moves the last vertex in by bisection: under 2 us per
-    step, against 6-9 us for ``np.argsort`` on a list.  After a shrink, on
-    ties and on NaN, numpy's argsort decides, since it need not be stable.
+    The simplex is x0 and, for each k, x0 with entry k scaled by 1.05 (set
+    to 0.00025 where it is 0).  Each iteration reflects the worst vertex
+    through the ``math.fsum`` centroid of the others, then expands (x2),
+    contracts outside or inside (x1/2), or shrinks the simplex by 1/2
+    towards the best vertex (Lagarias et al., SIAM J. Optim. 9 (1998)
+    112-147), and one stable sort orders the vertices by value, NaN last.
+    It stops when every vertex lies within ``xatol`` of the best in each
+    coordinate and ``fatol`` in value (``success``), or when the iteration
+    count, which starts at 1, reaches ``maxiter``.  ``fun`` gets each
+    vertex as a list.
     """
-    head = fsim[:-1]
-    if all(map(lt, head, head[1:])):
-        j = bisect_right(head, fsim[-1])
-        if j == 0 or head[j - 1] < fsim[-1]:
-            sim.insert(j, sim.pop())
-            fsim.insert(j, fsim.pop())
-            return sim, fsim
-    order = np.argsort(fsim).tolist()
-    return [sim[k] for k in order], [fsim[k] for k in order]
+    nfev = 0
 
-
-class OptimizeResult(NamedTuple):
-    """The fields of scipy's ``OptimizeResult`` that a polish reports."""
-
-    x: np.ndarray
-    fun: float
-    nit: int
-    nfev: int
-    status: int
-    success: bool
-
-
-def minimize(fun, x0, method, options):
-    """``method(fun, x0, **options)``: scipy's ``minimize`` calling convention for a callable method.
-
-    The polish calls :func:`_nelder_mead` through this name, so that a
-    caller can wrap the polish at ``bikoeff.oracle.minimize``.
-    """
-    return method(fun, x0, **options)
-
-
-def _nelder_mead(fun, x0, args=(), *, maxiter, xatol=1e-4, fatol=1e-4, **_):
-    """scipy's non-adaptive, unbounded ``"Nelder-Mead"`` on lists of Python floats.
-
-    A ``method`` for :func:`minimize` or ``scipy.optimize.minimize``;
-    ``maxiter`` must be given.  It builds the same initial simplex, takes
-    the same steps and stop tests, sums the centroid row by row as
-    ``np.add.reduce`` does and orders the simplex as numpy's argsort does
-    after every step (:func:`_ordered`), so it returns scipy's ``x``,
-    ``fun``, ``nit``, ``nfev`` and ``status`` bit for bit.  ``fun`` gets
-    each vertex as a list, not a copy.
-    """
-    x0 = np.asarray(x0, dtype=float).ravel().tolist()
-    N = len(x0)
-    sim = [x0]
-    for k in range(N):
-        y = list(x0)
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-    sim, fsim = _ordered(sim, [fun(v, *args) for v in sim])
-    sim, fsim = _ordered(sim, fsim)  # scipy sorts twice before its first step
-    nfev = N + 1
-    iterations = 1
-    while iterations < maxiter:
-        # fsim is sorted, so fsim[-1] - fsim[0] is the largest |fsim[0] - fsim[k]|
-        if fsim[-1] - fsim[0] <= fatol and all(
-                abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, sim[0])):
-            break
-        worst = sim[-1]
-        acc = sim[0]
-        for v in sim[1:-1]:
-            acc = list(map(add, acc, v))
-        xbar = [s / N for s in acc]
-        xr = [2 * b - w for b, w in zip(xbar, worst)]
-        fxr = fun(xr, *args)
+    def vertex(x):
+        nonlocal nfev
         nfev += 1
-        new = None
-        if fxr < fsim[0]:
-            xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]
-            fxe = fun(xe, *args)
-            nfev += 1
-            new = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            new = (xr, fxr)
-        elif fxr < fsim[-1]:
-            xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
-            fxc = fun(xc, *args)
-            nfev += 1
-            if fxc <= fxr:
-                new = (xc, fxc)
+        return fun(x), x
+
+    def nan_last(v):
+        return v[0] != v[0], v[0]
+
+    x0 = [float(v) for v in x0]
+    n = len(x0)
+    simplex = [vertex(x0)] + [vertex([(1.05 * v if v != 0 else 0.00025) if j == k else v
+                                      for j, v in enumerate(x0)]) for k in range(n)]
+    simplex.sort(key=nan_last)
+
+    def step(t):  # xbar + t (xbar - worst)
+        return vertex([(1 + t) * b - t * w for b, w in zip(xbar, worst)])
+
+    nit = 1
+    while nit < maxiter:
+        (fbest, best), (fworst, worst) = simplex[0], simplex[-1]
+        if fworst - fbest <= fatol and all(abs(a - b) <= xatol
+                                           for _, x in simplex[1:] for a, b in zip(x, best)):
+            break
+        xbar = [math.fsum(c) / n for c in zip(*(x for _, x in simplex[:-1]))]
+        new = reflected = step(1.0)
+        if reflected[0] < fbest:
+            expanded = step(2.0)
+            if expanded[0] < reflected[0]:
+                new = expanded
+        elif not reflected[0] < simplex[-2][0]:
+            outside = reflected[0] < fworst
+            new = step(0.5 if outside else -0.5)
+            if not (new[0] <= reflected[0] if outside else new[0] < fworst):
+                new = None
+        if new is None:
+            simplex[1:] = [vertex([a + 0.5 * (b - a) for a, b in zip(best, x)]) for _, x in simplex[1:]]
         else:
-            xcc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
-            fxcc = fun(xcc, *args)
-            nfev += 1
-            if fxcc < fsim[-1]:
-                new = (xcc, fxcc)
-        if new is None:  # shrink toward the best vertex
-            best = sim[0]
-            for j in range(1, N + 1):
-                sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
-                fsim[j] = fun(sim[j], *args)
-            nfev += N
-        else:
-            sim[-1], fsim[-1] = new
-        sim, fsim = _ordered(sim, fsim)
-        iterations += 1
-    status = 2 if iterations >= maxiter else 0
-    return OptimizeResult(x=np.array(sim[0]), fun=np.min(fsim), nit=iterations, nfev=nfev,
-                          status=status, success=status == 0)
+            simplex[-1] = new
+        simplex.sort(key=nan_last)
+        nit += 1
+    fun_min, x = simplex[0]
+    return SimpleNamespace(x=x, fun=fun_min, nit=nit, nfev=nfev, success=nit < maxiter)
 
 
 def _refine(spec, target_index, p0, config, real):
     """Polish one candidate tuple by penalized simplex search; returns the polished tuple.
 
-    The simplex runs over the candidate's reflection coefficients
+    The simplex (:func:`minimize`, ``refine_steps`` iterations per
+    coordinate) runs over the candidate's reflection coefficients
     (:func:`_to_reflection`), so every point it scores lies in the closed
-    body, and a ``real`` candidate stays real.  It is scipy's Nelder-Mead
-    run on Python floats (:func:`_nelder_mead`), called through
-    :func:`minimize`, with ``refine_steps`` iterations per coordinate.  The
-    objective aims at lambda_min >= -tol + POLISH_MARGIN: the penalized
-    optimum sits just past the tolerance it is given, and the re-check in
-    :func:`_search` holds the polished point to the full -tol.
+    body, and a ``real`` candidate stays real.  The objective aims at
+    -tol + POLISH_MARGIN: the penalized optimum sits just past the
+    tolerance it is given, and the re-check in :func:`_search` holds the
+    polished point to the full -tol.
     """
     objective = _objective(spec, target_index, config.tol_feasible - POLISH_MARGIN, real)
     x0 = _to_reflection(p0, real)
-    res = minimize(objective, x0, method=_nelder_mead,
-                   options={"maxiter": config.refine_steps * len(x0), "xatol": 1e-10, "fatol": 1e-12})
-    return np.array(_from_reflection(_kappa(res.x.tolist(), real)), dtype=complex)
+    res = minimize(objective, x0, maxiter=config.refine_steps * len(x0), xatol=1e-10, fatol=1e-12)
+    return np.array(_from_reflection(_kappa(res.x, real)), dtype=complex)
 
 
 def _search(spec, target_index, config):

@@ -1,8 +1,8 @@
 """Helpers that only the tests use: the eigenvalue admissibility test, its
-one-row Levinson gate, the interpreted polish objective, Newton's series
-reversion, the full-order coefficient solve, a bit-for-bit scalar key,
-stacked Toeplitz matrices, sampled tuples, the moments of a measure, the
-scaling of a tuple and a one-shot oracle search."""
+one-row Levinson gate and the error it fails at, the interpreted polish
+objective, Newton's series reversion, the full-order coefficient solve, a
+bit-for-bit scalar key, stacked Toeplitz matrices, sampled tuples, the
+moments of a measure, the scaling of a tuple and a one-shot oracle search."""
 
 import numpy as np
 
@@ -12,7 +12,6 @@ from bikoeff.caratheodory import (
     atom_moments,
     levinson,
     smallest_eigenvalue,
-    toeplitz_matrix,
 )
 from bikoeff.classes import ZeroPivotError, apply_operator, subordination_target
 from bikoeff.series import CoefficientVector, Polynomial, SeriesError, TruncatedSeries, compose
@@ -25,33 +24,38 @@ def is_admissible(p, tol: float = 1e-9) -> bool:
     return smallest_eigenvalue(p) >= -tol
 
 
-def admissible_row(q, tol: float) -> bool:
-    """:func:`admissible_mask` on one row of Python scalars, in Python arithmetic.
+def gate_error(q, tol: float):
+    """The first prediction error of T + tol I on the row q that is not positive, or None.
 
-    False at the first prediction error that is not positive, which
-    includes rows holding NaN or inf; the recursion stops there.
+    :func:`admissible_mask`'s recursion on one row of Python scalars, in
+    Python arithmetic; NaN counts as not positive, and the recursion stops
+    at that error.
     """
     for _, _, err, _ in levinson([2.0 + tol, *(c.conjugate() for c in q)], [None] * len(q)):
         if not err > 0:
-            return False
-    return True
+            return err
+    return None
+
+
+def admissible_row(q, tol: float) -> bool:
+    """:func:`admissible_mask` on one row of Python scalars: no prediction error fails (:func:`gate_error`)."""
+    return gate_error(q, tol) is None
 
 
 def reference_objective(spec, target_index, tol, real):
     """The polish objective interpreted step by step: the reference for the traced kernel.
 
-    The tuple at x (``_kappa``, ``_from_reflection``), its system, the
-    :func:`admissible_row` gate and, where it fails, the ``eigvalsh`` penalty.
+    The tuple at x (``_kappa``, ``_from_reflection``), its system and
+    -|a_target|, less 1e4 E where the gate fails at the prediction error E
+    (:func:`gate_error`).
     """
     fast = oracle.fast_spec(spec)
 
     def objective(x):
         coeffs, q = oracle._system(fast, oracle._from_reflection(oracle._kappa(x, real)))
         value = -abs(coeffs[target_index])
-        if admissible_row(q, tol):
-            return value
-        lam_min = np.linalg.eigvalsh(toeplitz_matrix(q))[0]
-        return value + 1e4 * max(0.0, -(lam_min + tol))
+        err = gate_error(q, tol)
+        return value if err is None else value - 1e4 * err
 
     return objective
 
